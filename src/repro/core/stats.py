@@ -8,11 +8,12 @@ row count.  All pruning decisions in :mod:`repro.core` consume only this.
 from __future__ import annotations
 
 import datetime as _dt
+import decimal as _decimal
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 #: Scalar value types that may appear in column stats.
-Value = Any  # int | float | str | datetime.date
+Value = Any  # int | float | str | bool | datetime.date | datetime.datetime | Decimal
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,14 @@ class PartitionStats:
 
 
 def _encode_value(v: Optional[Value]) -> Any:
-    """JSON-encode a stats value, tagging dates so they round-trip."""
+    """JSON-encode a stats value, tagging dates, datetimes and decimals
+    so they round-trip."""
     if isinstance(v, _dt.date) and not isinstance(v, _dt.datetime):
         return {"$date": v.isoformat()}
     if isinstance(v, _dt.datetime):
         return {"$datetime": v.isoformat()}
+    if isinstance(v, _decimal.Decimal):
+        return {"$decimal": str(v)}
     return v
 
 
@@ -66,6 +70,8 @@ def _decode_value(v: Any) -> Optional[Value]:
             return _dt.date.fromisoformat(v["$date"])
         if "$datetime" in v:
             return _dt.datetime.fromisoformat(v["$datetime"])
+        if "$decimal" in v:
+            return _decimal.Decimal(v["$decimal"])
     return v
 
 

@@ -8,6 +8,8 @@ mirroring Snowflake's compile-time pruning against the metadata store.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List
@@ -81,7 +83,18 @@ class Manifest:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=1))
+        """Write atomically: a temp file in the same directory replaces
+        ``path`` only once it is complete, so a failed save leaves the
+        previous manifest intact."""
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with open(fd, "w") as f:
+                f.write(json.dumps(self.to_json(), indent=1))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "Manifest":

@@ -1,29 +1,41 @@
 """Lake table: write/read micro-partitioned Parquet + manifest.
 
-Writing uses the Spark DataFrame API end-to-end:
+Writing is pure Arrow, and the manifest is recorded as the partitions
+are written — as Snowflake records a micro-partition's metadata when it
+creates the partition (§3), and as Iceberg computes its manifest column
+metrics at commit time:
 
-* clustered layout  — ``repartitionByRange(n, *cluster_by)`` models a
-  table maintained under a clustering key (each output file covers a
-  narrow value range, like Snowflake's clustered micro-partitions);
-* random layout     — range-partition by a seeded ``rand()`` column,
+* clustered layout  — stable-sort by the cluster key (ascending, nulls
+  first, as Spark's range partitioning orders them), cut at the exact
+  quantiles ``i·n/N``, and move each cut forward to the next key change
+  so equal keys stay in one partition, as ``repartitionByRange`` keeps
+  them.  Each file then covers a narrow value range, like Snowflake's
+  clustered micro-partitions;
+* random layout     — a seeded permutation cut into equal slices,
   modelling arrival-order ingestion with no useful value locality.
 
-The manifest is then derived with a single Spark aggregation grouped by
-``input_file_name()`` computing per-file min/max/null-count/row-count —
-the moral equivalent of the metadata-backfill scan described in §8.1.
+Each slice becomes one ``data/part-NNNNN.parquet`` file, dictionary-
+encoded where Spark's own writer would be (see :func:`_dictionary_pays`),
+and its per-column min/max/null-count statistics come from the in-memory
+slice with Spark's aggregate semantics (see :func:`_col_stats`).  Spark
+reads the files with the Spark schema stored in the manifest.
 """
 from __future__ import annotations
 
-import datetime as _dt
+import json
+import math
+import shutil
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
-from urllib.parse import unquote, urlparse
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
+from pyspark.sql.pandas.types import from_arrow_schema
 
 from repro.core.stats import ColStats, PartitionStats
 from .manifest import Manifest, PartitionMeta
@@ -49,20 +61,81 @@ def _type_tag(dt: T.DataType) -> str:
     return "other"
 
 
-def _local_path(file_uri: str) -> str:
-    """``input_file_name()`` returns a URI; map it to a local FS path."""
-    if file_uri.startswith("file:"):
-        return unquote(urlparse(file_uri).path)
-    return unquote(file_uri)
+def _spark_ascending_order(table: pa.Table, cluster_by: Sequence[str]) -> pa.Array:
+    """Stable sort indices in Spark's ascending order: nulls first, NaN
+    after every number (Arrow alone would put NaN right after nulls)."""
+    keys = []
+    for c in cluster_by:
+        if pa.types.is_floating(table.schema.field(c).type):
+            keys.append(pc.is_nan(table.column(c)))  # null, False, then True
+        keys.append(table.column(c))
+    keys = pa.table(keys, names=[str(i) for i in range(len(keys))])
+    return pc.sort_indices(
+        keys, sort_keys=[(n, "ascending") for n in keys.column_names],
+        null_placement="at_start",
+    )
 
 
-def _native(v):
-    """Normalise a collected Spark value for JSON-able stats storage."""
-    if v is None:
-        return None
-    if isinstance(v, (_dt.datetime, _dt.date, str, bool, int, float)):
-        return v
-    return v.item() if hasattr(v, "item") else v
+def _cuts(table: pa.Table, n_partitions: int, cluster_by: Optional[Sequence[str]]) -> List[int]:
+    """Slice boundaries ``[0, c1, …, n]`` of ``table`` (already in layout
+    order), with empty slices dropped."""
+    n = table.num_rows
+    cuts = [i * n // n_partitions for i in range(n_partitions + 1)]
+    if cluster_by and n > 1:
+        # Positions where the cluster key differs from the previous row;
+        # a cut may only sit on one of these (or at the end).
+        change = np.zeros(n - 1, dtype=bool)
+        for c in cluster_by:
+            a, b = table.column(c).slice(1), table.column(c).slice(0, n - 1)
+            same = pc.or_kleene(pc.equal(a, b), pc.and_(pc.is_null(a), pc.is_null(b)))
+            if pa.types.is_floating(a.type):  # Spark groups NaN as one value
+                same = pc.or_kleene(same, pc.and_kleene(pc.is_nan(a), pc.is_nan(b)))
+            change |= ~pc.fill_null(same, False).to_numpy()
+        allowed = np.append(np.flatnonzero(change) + 1, n)
+        cuts = [0] + allowed[np.searchsorted(allowed, cuts[1:])].tolist()
+    return sorted(set(cuts))
+
+
+def _dictionary_pays(col: pa.ChunkedArray) -> bool:
+    """Spark's Parquet writer (parquet-mr) keeps a column's dictionary
+    only when dictionary plus indices are smaller than the plain values;
+    Arrow would dictionary-encode every column.  A dictionary over
+    near-unique values makes readers decode it, and Spark's dictionary
+    filter scan it, for nothing — so apply parquet-mr's rule."""
+    n, d = len(col), pc.count_distinct(col).as_py()
+    try:
+        width = col.type.bit_width / 8
+    except ValueError:  # strings and binaries: length prefix + bytes
+        width = (pc.sum(pc.binary_length(col)).as_py() or 0) / n + 4
+    return d * width + n * max(1, (d - 1).bit_length()) / 8 < n * width
+
+
+def _col_stats(arr: pa.ChunkedArray) -> ColStats:
+    """min/max/null count of one column with Spark's ``min``/``max``
+    semantics: NaN is the greatest double, so ``max`` is NaN when any
+    NaN is present and ``min`` is NaN when every non-null value is NaN
+    (Arrow's ``min_max`` skips NaN).  Timestamps are naive datetimes in
+    the local time zone, as Spark's ``collect()`` returns them."""
+    nulls = arr.null_count
+    if nulls == len(arr):
+        return ColStats(None, None, nulls)
+    if pa.types.is_timestamp(arr.type):
+        per_s = {"s": 1, "ms": 10**3, "us": 10**6, "ns": 10**9}[arr.type.unit]
+        mm = pc.min_max(arr.cast(pa.int64()))
+        lo, hi = (
+            T.TimestampType().fromInternal(mm[k].as_py() * 10**6 // per_s)
+            for k in ("min", "max")
+        )
+        return ColStats(lo, hi, nulls)
+    mm = pc.min_max(arr)
+    lo, hi = mm["min"].as_py(), mm["max"].as_py()
+    if pa.types.is_floating(arr.type):
+        nans = pc.sum(pc.is_nan(arr)).as_py()
+        if nans == len(arr) - nulls:
+            lo = hi = math.nan
+        elif nans:
+            hi = math.nan
+    return ColStats(lo, hi, nulls)
 
 
 class LakeTable:
@@ -76,7 +149,7 @@ class LakeTable:
 
     @staticmethod
     def write(
-        df: DataFrame,
+        table: pa.Table,
         path: str | Path,
         *,
         n_partitions: int,
@@ -84,67 +157,44 @@ class LakeTable:
         name: Optional[str] = None,
         seed: int = 0,
     ) -> "LakeTable":
-        """Partition ``df`` into ``n_partitions`` micro-partitions and
-        persist data + manifest under ``path``.
+        """Partition ``table`` into at most ``n_partitions`` micro-partitions
+        and persist data + manifest under ``path``, replacing any data
+        already there.  Fewer partitions result when a cluster-key value
+        spans a cut or the table has fewer rows than ``n_partitions``.
         """
-        path = Path(path)
-        data_dir = str(path / "data")
+        path = Path(path).absolute()
+        data_dir = path / "data"
+        table = table.replace_schema_metadata(None)
         if cluster_by:
-            dfw = df.repartitionByRange(n_partitions, *[F.col(c) for c in cluster_by])
+            order = _spark_ascending_order(table, cluster_by)
         else:
-            dfw = (
-                df.withColumn("_shuffle", F.rand(seed))
-                .repartitionByRange(n_partitions, F.col("_shuffle"))
-                .drop("_shuffle")
-            )
-        dfw.write.mode("overwrite").parquet(data_dir)
-        manifest = LakeTable._build_manifest(
-            df.sparkSession, data_dir, df.schema, name or path.name
-        )
-        manifest.save(path / "manifest.json")
-        return LakeTable(path, manifest)
+            order = np.random.default_rng(seed).permutation(table.num_rows)
+        table = table.take(order)
 
-    @staticmethod
-    def _build_manifest(
-        spark: SparkSession, data_dir: str, schema: T.StructType, name: str
-    ) -> Manifest:
-        df = spark.read.schema(schema).parquet(data_dir)
-        cols = df.columns
-        aggs = [F.count(F.lit(1)).alias("_rows")]
-        for c in cols:
-            aggs.append(F.min(c).alias(f"min__{c}"))
-            aggs.append(F.max(c).alias(f"max__{c}"))
-            aggs.append(F.sum(F.col(c).isNull().cast("long")).alias(f"nulls__{c}"))
-        rows = (
-            df.withColumn("_file", F.input_file_name())
-            .groupBy("_file")
-            .agg(*aggs)
-            .collect()
-        )
-        rows.sort(key=lambda r: r["_file"])
+        shutil.rmtree(data_dir, ignore_errors=True)
+        data_dir.mkdir(parents=True)
+        cuts = _cuts(table, n_partitions, cluster_by)
         partitions: List[PartitionMeta] = []
-        for pid, r in enumerate(rows):
-            col_stats = {
-                c: ColStats(
-                    min=_native(r[f"min__{c}"]),
-                    max=_native(r[f"max__{c}"]),
-                    null_count=int(r[f"nulls__{c}"]),
-                )
-                for c in cols
-            }
-            partitions.append(
-                PartitionMeta(
-                    pid=pid,
-                    path=_local_path(r["_file"]),
-                    stats=PartitionStats(row_count=int(r["_rows"]), columns=col_stats),
-                )
+        for pid, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            part = table.slice(lo, hi - lo)
+            file = data_dir / f"part-{pid:05d}.parquet"
+            dictionary = [c for c in part.column_names if _dictionary_pays(part.column(c))]
+            pq.write_table(part, file, use_dictionary=dictionary)
+            stats = PartitionStats(
+                row_count=part.num_rows,
+                columns={c: _col_stats(part.column(c)) for c in part.column_names},
             )
-        return Manifest(
-            name=name,
+            partitions.append(PartitionMeta(pid=pid, path=str(file), stats=stats))
+
+        schema = from_arrow_schema(table.schema)
+        manifest = Manifest(
+            name=name or path.name,
             schema_json=schema.json(),
             column_types={f.name: _type_tag(f.dataType) for f in schema.fields},
             partitions=partitions,
         )
+        manifest.save(path / "manifest.json")
+        return LakeTable(path, manifest)
 
     @staticmethod
     def load(path: str | Path) -> "LakeTable":
@@ -155,7 +205,7 @@ class LakeTable:
 
     @property
     def schema(self) -> T.StructType:
-        return T.StructType.fromJson(__import__("json").loads(self.manifest.schema_json))
+        return T.StructType.fromJson(json.loads(self.manifest.schema_json))
 
     def scan(
         self, spark: SparkSession, metas: Iterable[PartitionMeta]

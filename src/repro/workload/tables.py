@@ -21,9 +21,8 @@ from pathlib import Path
 from typing import Dict
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.lake import LakeTable
 
@@ -40,7 +39,6 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def build_events(
-    spark: SparkSession,
     path: str | Path,
     *,
     n_rows: int = 40_000,
@@ -50,11 +48,10 @@ def build_events(
     """Time-clustered fact table; ``event_id`` monotone in ``ts``."""
     g = _rng(seed)
     day = np.sort(g.integers(0, EVENT_DAYS, n_rows))
-    pdf = pd.DataFrame(
+    table = pa.table(
         {
             "event_id": np.arange(1, n_rows + 1),
-            "ts": pd.to_datetime(EVENT_EPOCH)
-            + pd.to_timedelta(day, unit="D"),
+            "ts": np.datetime64(EVENT_EPOCH, "D") + day,
             "user_id": g.integers(1, max(2, n_rows // 20), n_rows),
             "etype": g.choice(ETYPES, n_rows),
             "amount": (g.random(n_rows) * 1000).round(2),
@@ -62,14 +59,12 @@ def build_events(
             "country": g.choice(COUNTRIES, n_rows),
         }
     )
-    df = spark.createDataFrame(pdf).withColumn("ts", F.to_date("ts"))
     return LakeTable.write(
-        df, path, n_partitions=n_partitions, cluster_by=["ts"], name="events"
+        table, path, n_partitions=n_partitions, cluster_by=["ts"], name="events"
     )
 
 
 def build_users(
-    spark: SparkSession,
     path: str | Path,
     *,
     n_rows: int = 5_000,
@@ -78,7 +73,7 @@ def build_users(
 ) -> LakeTable:
     """Id-clustered dimension table."""
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    table = pa.table(
         {
             "user_id": np.arange(1, n_rows + 1),
             "signup_day": g.integers(0, EVENT_DAYS, n_rows),
@@ -86,14 +81,12 @@ def build_users(
             "score": (g.random(n_rows) * 100).round(3),
         }
     )
-    df = spark.createDataFrame(pdf)
     return LakeTable.write(
-        df, path, n_partitions=n_partitions, cluster_by=["user_id"], name="users"
+        table, path, n_partitions=n_partitions, cluster_by=["user_id"], name="users"
     )
 
 
 def build_incidents(
-    spark: SparkSession,
     path: str | Path,
     *,
     n_rows: int = 300,
@@ -104,22 +97,20 @@ def build_incidents(
     """Small build side: keys form one contiguous recent event_id block."""
     g = _rng(seed)
     block_start = int(events_n_rows * 0.9)
-    pdf = pd.DataFrame(
+    table = pa.table(
         {
             "event_id": g.integers(block_start, events_n_rows + 1, n_rows),
             "severity": g.integers(1, 6, n_rows),
             "assignee": g.choice(COUNTRIES, n_rows),
         }
     )
-    df = spark.createDataFrame(pdf)
     return LakeTable.write(
-        df, path, n_partitions=n_partitions, cluster_by=["event_id"],
+        table, path, n_partitions=n_partitions, cluster_by=["event_id"],
         name="incidents",
     )
 
 
 def build_tiny(
-    spark: SparkSession,
     path: str | Path,
     *,
     n_rows: int = 64,
@@ -132,19 +123,17 @@ def build_tiny(
     set — queries against tables like this one are why.
     """
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    table = pa.table(
         {
             "status_id": np.arange(1, n_rows + 1),
             "label": [f"status-{i}" for i in range(n_rows)],
             "weight": g.random(n_rows).round(4),
         }
     )
-    df = spark.createDataFrame(pdf)
-    return LakeTable.write(df, path, n_partitions=1, name="tiny")
+    return LakeTable.write(table, path, n_partitions=1, name="tiny")
 
 
 def build_blob(
-    spark: SparkSession,
     path: str | Path,
     *,
     n_rows: int = 20_000,
@@ -153,7 +142,7 @@ def build_blob(
 ) -> LakeTable:
     """Unclustered noise table — wide min/max everywhere, little pruning."""
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    table = pa.table(
         {
             "k": g.integers(1, n_rows, n_rows),
             "v": g.random(n_rows).round(6),
@@ -161,9 +150,8 @@ def build_blob(
             "score": (g.random(n_rows) * 100).round(3),
         }
     )
-    df = spark.createDataFrame(pdf)
     return LakeTable.write(
-        df, path, n_partitions=n_partitions, cluster_by=None, name="blob",
+        table, path, n_partitions=n_partitions, cluster_by=None, name="blob",
         seed=seed,
     )
 
@@ -175,26 +163,27 @@ def build_production_lake(
     scale: float = 1.0,
     seed: int = 0,
 ) -> Dict[str, LakeTable]:
-    """All four tables at a size scale; scale=1 ≈ unit-test size."""
+    """All five tables at a size scale; scale=1 ≈ unit-test size.
+
+    The tables are written without Spark; ``spark`` is accepted so that
+    this function takes the same arguments as ``build_tpch_lake``.
+    """
     root = Path(root)
     ev_rows = int(40_000 * scale)
     tables = {
         "events": build_events(
-            spark,
             root / "events",
             n_rows=ev_rows,
             n_partitions=max(4, int(40 * scale)),
             seed=seed + 7,
         ),
         "users": build_users(
-            spark,
             root / "users",
             n_rows=int(5_000 * scale),
             n_partitions=max(2, int(10 * scale)),
             seed=seed + 11,
         ),
         "incidents": build_incidents(
-            spark,
             root / "incidents",
             n_rows=max(50, int(300 * scale)),
             events_n_rows=ev_rows,
@@ -205,12 +194,11 @@ def build_production_lake(
         # mass concentrates in clustered fact tables, which is what
         # makes the partition-weighted 99.4 % possible.
         "blob": build_blob(
-            spark,
             root / "blob",
             n_rows=int(8_000 * scale),
             n_partitions=max(2, int(8 * scale)),
             seed=seed + 17,
         ),
-        "tiny": build_tiny(spark, root / "tiny", seed=seed + 19),
+        "tiny": build_tiny(root / "tiny", seed=seed + 19),
     }
     return tables

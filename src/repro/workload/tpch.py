@@ -50,18 +50,18 @@ def build_tpch_lake(
     n_o = max(3, int(120 * sf))
     return {
         "lineitem": LakeTable.write(
-            li, root / "lineitem", n_partitions=n_li,
+            li.toArrow(), root / "lineitem", n_partitions=n_li,
             cluster_by=["l_shipdate"], name="lineitem",
         ),
         "orders": LakeTable.write(
-            o, root / "orders", n_partitions=n_o,
+            o.toArrow(), root / "orders", n_partitions=n_o,
             cluster_by=["o_orderdate"], name="orders",
         ),
         "part": LakeTable.write(
-            p, root / "part", n_partitions=2, cluster_by=None, name="part",
+            p.toArrow(), root / "part", n_partitions=2, cluster_by=None, name="part",
         ),
         "customer": LakeTable.write(
-            c, root / "customer", n_partitions=2, cluster_by=None,
+            c.toArrow(), root / "customer", n_partitions=2, cluster_by=None,
             name="customer",
         ),
     }
