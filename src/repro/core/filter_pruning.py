@@ -10,8 +10,8 @@ proves every row satisfies it (no false "fully" claims).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from .expr import Expr, always_match, can_match, eval3
 from .stats import PartitionStats
@@ -51,7 +51,6 @@ class PruneResult:
     retained: List  # PartitionMeta, kept in scan set (partially ∪ fully)
     pruned: List  # PartitionMeta, removed
     fully_matching: List  # subset of retained proven all-matching
-    classifications: dict = field(default_factory=dict)  # pid -> class
 
     @property
     def n_total(self) -> int:
@@ -68,17 +67,12 @@ def prune_scan_set(partitions: Sequence, pred: Optional[Expr]) -> PruneResult:
     retained: List = []
     pruned: List = []
     fully: List = []
-    classes = {}
     for p in partitions:
         c = classify_partition(pred, p.stats)
-        classes[p.pid] = c
         if c == NOT_MATCHING:
             pruned.append(p)
         else:
             retained.append(p)
             if c == FULLY_MATCHING:
                 fully.append(p)
-    return PruneResult(
-        retained=retained, pruned=pruned, fully_matching=fully,
-        classifications=classes,
-    )
+    return PruneResult(retained=retained, pruned=pruned, fully_matching=fully)

@@ -6,24 +6,28 @@ and whether at least one partition was actually pruned (the Fig. 11
 accounting), plus the query-level pruning ratio measured the way the
 paper does for Fig. 4: relative to *all* partitions the query would
 touch, including scans without predicates.
+
+This is the only code that sequences the pruning stages; Spark executes
+its decision through ``repro.engine.exec_ops.execute``.  The main scan
+is classified once, and the LIMIT stage and the top-k boundary reuse
+that classification.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-import pandas as pd
+from typing import Dict, List, Optional
 
 from .expr import to_pandas_mask
-from .filter_pruning import prune_scan_set
+from .filter_pruning import PruneResult, prune_scan_set
 from .join_pruning import RangeSummary, prune_probe_partitions
 from .limit_pruning import LimitPruneOutcome, prune_for_limit
 from .query import LIMIT, QuerySpec
-from .topk_pruning import init_boundary, supports_topk_pruning, topk_scan
-
-#: ``reader(table_name, partition_meta) -> pandas.DataFrame`` — the data
-#: access the runtime techniques (join summary build, top-k loop) use.
-Reader = Callable[[str, object], pd.DataFrame]
+from .topk_pruning import (
+    TopKScanResult,
+    init_boundary,
+    supports_topk_pruning,
+    topk_scan,
+)
 
 
 @dataclass
@@ -53,7 +57,10 @@ class FlowResult:
     techniques: Dict[str, TechniqueStats] = field(default_factory=dict)
     final_main_scan: List = field(default_factory=list)
     final_build_scan: List = field(default_factory=list)
+    #: the one classification of the main scan (filter stage)
+    filter_result: Optional[PruneResult] = None
     limit_outcome: Optional[LimitPruneOutcome] = None
+    topk_result: Optional[TopKScanResult] = None
 
     @property
     def final_scanned(self) -> int:
@@ -70,23 +77,17 @@ class FlowResult:
 def run_pruning_flow(
     spec: QuerySpec,
     tables: Dict[str, object],  # name -> LakeTable
-    *,
-    reader: Optional[Reader] = None,
-    summary_max_ranges: int = 64,
-    topk_strategy: str = "sort",
-    topk_init_boundary: bool = True,
-    topk_seed: int = 0,
 ) -> FlowResult:
-    """Apply filter → join → LIMIT → top-k pruning for one query."""
+    """Apply filter → join → LIMIT → top-k pruning for one query.
+
+    The runtime techniques (join summary build, top-k loop) read
+    partitions on the simulated worker path, ``read_partition_pandas``.
+    """
     main = tables[spec.table]
     main_parts = list(main.manifest.partitions)
     build_parts: List = []
     if spec.join is not None:
         build_parts = list(tables[spec.join.build_table].manifest.partitions)
-    if reader is None:
-        def reader(tname, meta):  # noqa: ANN001 — default worker read path
-            return tables[tname].read_partition_pandas(meta)
-
     res = FlowResult(
         spec=spec, total_partitions=len(main_parts) + len(build_parts)
     )
@@ -104,19 +105,21 @@ def run_pruning_flow(
     ft.after = len(main_scan) + len(build_scan)
     ft.applied = ft.eligible and ft.after < ft.before
     res.techniques["filter"] = ft
+    res.filter_result = main_fr
 
     # -- 2. join pruning (runtime, §6) -------------------------------------
     jt = TechniqueStats(before=len(main_scan), after=len(main_scan))
     if spec.join is not None:
         jt.eligible = True
         j = spec.join
+        build = tables[j.build_table]
         build_vals: List = []
         for bp in build_scan:
-            pdf = reader(j.build_table, bp)
+            pdf = build.read_partition_pandas(bp)
             if j.build_pred is not None and len(pdf):
                 pdf = pdf[to_pandas_mask(j.build_pred, pdf)]
             build_vals.extend(pdf[j.build_key].dropna().tolist())
-        summary = RangeSummary.build(build_vals, max_ranges=summary_max_ranges)
+        summary = RangeSummary.build(build_vals)
         jr = prune_probe_partitions(main_scan, j.probe_key, summary)
         main_scan = jr.retained
         jt.after = len(main_scan)
@@ -127,9 +130,9 @@ def run_pruning_flow(
     lt = TechniqueStats(before=len(main_scan), after=len(main_scan))
     if spec.qtype == LIMIT and spec.k is not None and spec.join is None:
         lt.eligible = True
+        # No join ran, so the scan set is still ``main_fr.retained``.
         outcome = prune_for_limit(
-            main_scan, spec.pred, spec.k,
-            shape_supported=spec.limit_shape_supported,
+            main_fr, spec.k, shape_supported=spec.limit_shape_supported
         )
         res.limit_outcome = outcome
         main_scan = outcome.scan_set
@@ -146,23 +149,20 @@ def run_pruning_flow(
         and supports_topk_pruning(spec.plan_ops, [spec.order_col])
     ):
         tt.eligible = True
-        boundary = None
-        if topk_init_boundary:
-            fully = prune_scan_set(main_scan, spec.pred).fully_matching
-            boundary = init_boundary(
-                fully, spec.order_col, spec.k, desc=spec.desc
-            )
+        # §5.4: fully-matching partitions that earlier stages kept.
+        in_scan = {p.pid for p in main_scan}
+        fully = [p for p in main_fr.fully_matching if p.pid in in_scan]
+        boundary = init_boundary(fully, spec.order_col, spec.k, desc=spec.desc)
         tr = topk_scan(
             main_scan,
-            lambda m: reader(spec.table, m),
+            main.read_partition_pandas,
             spec.order_col,
             spec.k,
             pred=spec.pred,
             desc=spec.desc,
-            strategy=topk_strategy,
-            seed=topk_seed,
             initial_boundary=boundary,
         )
+        res.topk_result = tr
         main_scan = tr.scanned
         tt.after = len(main_scan)
         tt.applied = tt.after < tt.before

@@ -96,15 +96,6 @@ def hull(intervals: Iterable[Interval]) -> Interval:
     return Interval(lo, hi)
 
 
-def _min_opt(vals: Iterable[Optional[Value]]) -> Optional[Value]:
-    out: Optional[Value] = None
-    for v in vals:
-        if v is None:
-            return None
-        out = v if out is None or _lt(v, out) else out
-    return out
-
-
 def add(a: Interval, b: Interval) -> Interval:
     lo = None if a.lo is None or b.lo is None else a.lo + b.lo
     hi = None if a.hi is None or b.hi is None else a.hi + b.hi
@@ -166,16 +157,6 @@ def prefix_successor(prefix: str) -> Optional[str]:
             return "".join(chars)
         chars.pop()
     return None
-
-
-def prefix_interval(prefix: str) -> Interval:
-    """Interval covering exactly the strings starting with ``prefix``.
-
-    The upper bound is open in principle; we return a closed approximation
-    whose ``hi`` is the successor — callers must use :func:`prefix_overlap`
-    for exact checks.
-    """
-    return Interval(prefix, prefix_successor(prefix))
 
 
 def prefix_overlap(col: Interval, prefix: str) -> bool:

@@ -130,9 +130,3 @@ def prune_probe_partitions(
         (retained if keep else pruned).append(p)
     return PruneResult(retained=retained, pruned=pruned, fully_matching=[])
 
-
-def summary_fraction(summary: RangeSummary, build_rows: int) -> float:
-    """Summary size relative to build side (the §6.1 trade-off metric)."""
-    if build_rows == 0:
-        return 0.0
-    return (2 * len(summary.ranges)) / max(build_rows, 1)

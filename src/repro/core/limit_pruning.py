@@ -12,10 +12,10 @@ Outcome categories mirror Table 2 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .expr import Expr, can_match, columns, eval3, invert
-from .filter_pruning import PruneResult, prune_scan_set
+from .filter_pruning import PruneResult
 from .stats import PartitionStats
 
 # Table 2 outcome categories (NO_FULLY_MATCHING is folded into
@@ -86,20 +86,21 @@ class LimitPruneOutcome:
 
 
 def prune_for_limit(
-    partitions: Sequence,
-    pred: Optional[Expr],
+    fr: PruneResult,
     k: int,
     *,
     shape_supported: bool = True,
 ) -> LimitPruneOutcome:
-    """Apply LIMIT pruning after filter pruning (§4.1's algorithm).
+    """Apply LIMIT pruning to a filter-pruning result (§4.1's algorithm).
 
+    ``fr`` is the scan set's one classification (``prune_scan_set``);
+    its fully-matching partitions are reused, not recomputed.
     ``shape_supported=False`` models queries where the LIMIT cannot be
     pushed down to this table scan (aggregations, most joins, …; §4.3).
     """
-    fr = prune_scan_set(partitions, pred)
     fully = sorted(fr.fully_matching, key=lambda p: -p.row_count)
-    partial = [p for p in fr.retained if p not in fr.fully_matching]
+    fully_pids = {p.pid for p in fr.fully_matching}
+    partial = [p for p in fr.retained if p.pid not in fully_pids]
 
     if not shape_supported:
         return LimitPruneOutcome(UNSUPPORTED_SHAPE, fully + partial, fr, k)

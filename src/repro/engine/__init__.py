@@ -1,7 +1,9 @@
-"""Execution layer: pruned scan sets → Spark DataFrames.
+"""Execution layer: the pruning flow's scan sets → Spark DataFrames.
 
-``datasource`` registers the ``lakescan`` Python DataSource whose
-``pushFilters`` hook performs manifest min/max pruning inside Catalyst's
-pushdown phase; ``exec_ops`` contains DataFrame-level operators (top-k
-over a pruned scan set, pruned hash join) used by tests and benchmarks.
+``exec_ops.execute`` plans a query in Spark over the scan sets that
+``repro.core.flow.run_pruning_flow`` chose; ``filtered_scan``,
+``topk_execute`` and ``pruned_hash_join`` are one-shape entry points
+over the flow and ``execute``.  ``datasource`` registers the
+``lakescan`` Python DataSource whose ``pushFilters`` hook performs
+manifest min/max pruning inside Catalyst's pushdown phase.
 """

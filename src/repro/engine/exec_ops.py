@@ -1,11 +1,14 @@
-"""DataFrame-level execution operators over pruned scan sets.
+"""Spark execution of the §7 pruning flow's decision.
 
 The paper's runtime techniques (top-k boundary pruning, join pruning)
 exchange information sideways between operators mid-query — not
-expressible inside Catalyst from Python (see DESIGN.md).  So the
-pruning decision runs at the planning layer (`repro.core`) and these
-helpers execute the *resulting* plan with the Spark DataFrame API; the
-DuckDB oracle then verifies that pruned and unpruned plans agree.
+expressible inside Catalyst from Python (see DESIGN.md).  So
+``repro.core.flow.run_pruning_flow`` makes every pruning decision, and
+:func:`execute` plans the query in Spark over the scan sets it chose.
+``filtered_scan``, ``topk_execute`` and ``pruned_hash_join`` are thin
+entry points for one query shape each: build a ``QuerySpec``, run the
+flow, execute it, and return the DataFrame with the stage result the
+caller inspects.  The pruning decision itself starts no Spark job.
 """
 from __future__ import annotations
 
@@ -14,22 +17,51 @@ from typing import Dict, Optional, Tuple
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core import query as q
 from repro.core.expr import Expr, to_spark
-from repro.core.filter_pruning import prune_scan_set
-from repro.core.join_pruning import RangeSummary, prune_probe_partitions
-from repro.core.topk_pruning import TopKScanResult, init_boundary, topk_scan
+from repro.core.filter_pruning import PruneResult
+from repro.core.flow import FlowResult, run_pruning_flow
+from repro.core.topk_pruning import TopKScanResult
 from repro.lake import LakeTable
+
+
+def execute(
+    spark: SparkSession, tables: Dict[str, LakeTable], res: FlowResult
+) -> DataFrame:
+    """Plan ``res.spec`` over the flow's final scan sets.
+
+    Residual predicate on the main scan, inner equi-join with the
+    filtered build side, ``ORDER BY … NULLS LAST`` for a top-k, then
+    ``LIMIT k``.  GROUP BY top-k queries are not planned here.
+    """
+    spec = res.spec
+    if spec.qtype in (q.TOPK_GROUP_KEY, q.TOPK_GROUP_AGG):
+        raise ValueError(f"execute cannot plan {spec.qtype} queries")
+    df = tables[spec.table].scan(spark, res.final_main_scan)
+    if spec.pred is not None:
+        df = df.filter(to_spark(spec.pred))
+    if spec.join is not None:
+        j = spec.join
+        build = tables[j.build_table].scan(spark, res.final_build_scan)
+        if j.build_pred is not None:
+            build = build.filter(to_spark(j.build_pred))
+        df = df.join(build, on=df[j.probe_key] == build[j.build_key], how="inner")
+    if spec.qtype == q.TOPK:
+        o = F.col(spec.order_col)
+        df = df.orderBy(o.desc_nulls_last() if spec.desc else o.asc_nulls_last())
+    if spec.k is not None:
+        df = df.limit(spec.k)
+    return df
 
 
 def filtered_scan(
     spark: SparkSession, table: LakeTable, pred: Optional[Expr]
-) -> Tuple[DataFrame, object]:
+) -> Tuple[DataFrame, PruneResult]:
     """Filter-pruned scan: metadata pruning + Spark-side residual filter."""
-    pr = prune_scan_set(table.manifest.partitions, pred)
-    df = table.scan(spark, pr.retained)
-    if pred is not None:
-        df = df.filter(to_spark(pred))
-    return df, pr
+    name = table.manifest.name
+    tables = {name: table}
+    res = run_pruning_flow(q.QuerySpec(qtype=q.SELECT, table=name, pred=pred), tables)
+    return execute(spark, tables, res), res.filter_result
 
 
 def topk_execute(
@@ -40,38 +72,16 @@ def topk_execute(
     k: int,
     pred: Optional[Expr] = None,
     desc: bool = True,
-    strategy: str = "sort",
-    use_init_boundary: bool = True,
-    prune: bool = True,
-    seed: int = 0,
 ) -> Tuple[DataFrame, TopKScanResult]:
-    """End-to-end top-k: §5 runtime pruning decides the scan set, Spark
-    produces the final ordered result over exactly those partitions."""
-    fr = prune_scan_set(table.manifest.partitions, pred)
-    boundary = None
-    if prune and use_init_boundary:
-        boundary = init_boundary(fr.fully_matching, order_col, k, desc=desc)
-    tr = topk_scan(
-        fr.retained,
-        table.read_partition_pandas,
-        order_col,
-        k,
-        pred=pred,
-        desc=desc,
-        strategy=strategy,
-        seed=seed,
-        initial_boundary=boundary,
-        prune=prune,
+    """``ORDER BY order_col LIMIT k``: §5 runtime pruning decides the scan
+    set, Spark produces the ordered result over exactly those partitions."""
+    name = table.manifest.name
+    tables = {name: table}
+    spec = q.QuerySpec(
+        qtype=q.TOPK, table=name, pred=pred, k=k, order_col=order_col, desc=desc
     )
-    df = table.scan(spark, tr.scanned)
-    if pred is not None:
-        df = df.filter(to_spark(pred))
-    order = (
-        F.col(order_col).desc_nulls_last()
-        if desc
-        else F.col(order_col).asc_nulls_last()
-    )
-    return df.orderBy(order).limit(k), tr
+    res = run_pruning_flow(spec, tables)
+    return execute(spark, tables, res), res.topk_result
 
 
 def pruned_hash_join(
@@ -83,36 +93,21 @@ def pruned_hash_join(
     build_key: str,
     probe_pred: Optional[Expr] = None,
     build_pred: Optional[Expr] = None,
-    max_ranges: int = 64,
-    prune: bool = True,
 ) -> Tuple[DataFrame, Dict[str, int]]:
-    """§6 join: summarize the (filtered) build side, prune probe
-    partitions, then execute the equi-join in Spark."""
-    build_fr = prune_scan_set(build.manifest.partitions, build_pred)
-    build_df = build.scan(spark, build_fr.retained)
-    if build_pred is not None:
-        build_df = build_df.filter(to_spark(build_pred))
-
-    probe_fr = prune_scan_set(probe.manifest.partitions, probe_pred)
-    probe_parts = probe_fr.retained
-    stats = {
-        "probe_before": len(probe_parts),
-        "probe_after": len(probe_parts),
-        "build_partitions": len(build_fr.retained),
-    }
-    if prune:
-        build_keys = [
-            r[0] for r in build_df.select(build_key).distinct().collect()
-        ]
-        summary = RangeSummary.build(build_keys, max_ranges=max_ranges)
-        jr = prune_probe_partitions(probe_parts, probe_key, summary)
-        probe_parts = jr.retained
-        stats["probe_after"] = len(probe_parts)
-
-    probe_df = probe.scan(spark, probe_parts)
-    if probe_pred is not None:
-        probe_df = probe_df.filter(to_spark(probe_pred))
-    joined = probe_df.join(
-        build_df, on=probe_df[probe_key] == build_df[build_key], how="inner"
+    """§6 join: the flow summarizes the (filtered) build side and prunes
+    probe partitions; Spark executes the equi-join."""
+    pname, bname = probe.manifest.name, build.manifest.name
+    if pname == bname and probe is not build:
+        raise ValueError(f"probe and build tables share the name {pname!r}")
+    tables = {pname: probe, bname: build}
+    spec = q.QuerySpec(
+        qtype=q.SELECT, table=pname, pred=probe_pred,
+        join=q.JoinSpec(bname, build_key, probe_key, build_pred),
     )
-    return joined, stats
+    res = run_pruning_flow(spec, tables)
+    jt = res.techniques["join"]
+    return execute(spark, tables, res), {
+        "probe_before": jt.before,
+        "probe_after": jt.after,
+        "build_partitions": len(res.final_build_scan),
+    }

@@ -65,7 +65,3 @@ def classify(sql: str) -> str:
 def is_topk(category: str) -> bool:
     return category in (TOPK_PLAIN, TOPK_GROUP_KEY, TOPK_GROUP_AGG)
 
-
-def is_limit(category: str) -> bool:
-    """Paper's "LIMIT queries" bucket: LIMIT without ORDER BY."""
-    return category in (LIMIT_NO_PRED, LIMIT_PRED)

@@ -76,11 +76,6 @@ class TestBuckets:
         assert C.is_topk(C.TOPK_GROUP_AGG)
         assert not C.is_topk(C.LIMIT_PRED)
 
-    def test_is_limit_excludes_topk(self):
-        # Paper's "LIMIT queries" bucket excludes ORDER BY + LIMIT.
-        assert C.is_limit(C.LIMIT_NO_PRED) and C.is_limit(C.LIMIT_PRED)
-        assert not C.is_limit(C.TOPK_PLAIN)
-
 
 class TestAgainstGeneratedSQL:
     """Classifier round-trips the generator's own SQL rendering."""

@@ -1,5 +1,6 @@
 """End-to-end operator tests: pruned plans must produce the same results
-as unpruned plans — checked against the DuckDB oracle over full data."""
+as unpruned plans — checked against the DuckDB oracle over full data, or
+against Spark's native plan over every partition (``LakeTable.full``)."""
 import datetime as dt
 
 import pytest
@@ -110,11 +111,20 @@ class TestTopKExecute:
         ]
 
     def test_pruned_equals_unpruned(self, spark, events):
-        a, _ = topk_execute(spark, events, order_col="amount", k=30, prune=True)
-        b, _ = topk_execute(spark, events, order_col="amount", k=30, prune=False)
+        a, _ = topk_execute(spark, events, order_col="amount", k=30)
+        b = (
+            events.full(spark)
+            .orderBy(F.col("amount").desc_nulls_last()).limit(30)
+        )
         va = sorted(r["amount"] for r in a.collect())
         vb = sorted(r["amount"] for r in b.collect())
         assert va == pytest.approx(vb)
+
+
+def native_join(spark, probe, build, key, build_pred):
+    """The unpruned equi-join: every partition on both sides."""
+    p, b = probe.full(spark), build.full(spark).filter(to_spark(build_pred))
+    return p.join(b, on=p[key] == b[key], how="inner")
 
 
 class TestPrunedHashJoin:
@@ -126,14 +136,10 @@ class TestPrunedHashJoin:
             build_pred=col("severity") >= 3,
         )
         assert stats["probe_after"] < stats["probe_before"]
-        got = joined.count()
-        unpruned, _ = pruned_hash_join(
-            spark, events, incidents,
-            probe_key="event_id", build_key="event_id",
-            build_pred=col("severity") >= 3,
-            prune=False,
+        unpruned = native_join(
+            spark, events, incidents, "event_id", col("severity") >= 3
         )
-        assert got == unpruned.count()
+        assert joined.count() == unpruned.count()
 
     def test_join_matches_oracle(self, spark, prod_lake):
         events, incidents = prod_lake["events"], prod_lake["incidents"]
@@ -170,10 +176,28 @@ class TestPrunedHashJoin:
             probe_key="user_id", build_key="user_id",
             build_pred=between(col("user_id"), 100, 160),
         )
-        unpruned, _ = pruned_hash_join(
-            spark, events, users,
-            probe_key="user_id", build_key="user_id",
-            build_pred=between(col("user_id"), 100, 160),
-            prune=False,
+        unpruned = native_join(
+            spark, events, users, "user_id", between(col("user_id"), 100, 160)
         )
         assert joined.count() == unpruned.count()
+
+    def test_decision_starts_no_spark_job(self, spark, prod_lake):
+        """The join summary comes from worker reads, not a Spark job; the
+        first job is the collect."""
+        sc = spark.sparkContext
+        group = "pruned-hash-join-decision"
+        sc.setJobGroup(group, "pruned_hash_join before collect")
+        try:
+            joined, _ = pruned_hash_join(
+                spark, prod_lake["events"], prod_lake["incidents"],
+                probe_key="event_id", build_key="event_id",
+                build_pred=col("severity") >= 3,
+            )
+            before = list(sc.statusTracker().getJobIdsForGroup(group))
+            joined.collect()
+            after = list(sc.statusTracker().getJobIdsForGroup(group))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        assert before == []
+        assert after, "the collect must run under the job group"

@@ -111,5 +111,5 @@ class TestPruneScanSet:
     def test_classifications_recorded(self):
         parts = fig5_partitions()
         r = prune_scan_set(parts, FIG5_PRED)
-        assert r.classifications[1] == NOT_MATCHING
-        assert r.classifications[3] == FULLY_MATCHING
+        assert 1 in {p.pid for p in r.pruned}
+        assert 3 in {p.pid for p in r.fully_matching}

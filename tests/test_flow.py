@@ -7,6 +7,7 @@ from repro.core import query as q
 from repro.core.expr import between, col, to_spark
 from repro.core.flow import run_pruning_flow
 from repro.core.topk_pruning import PlanOp
+from repro.engine.exec_ops import execute
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +136,16 @@ class TestTopKStage:
         r = run_pruning_flow(spec, tables)
         assert not r.techniques["topk"].eligible
 
+    def test_execute_rejects_group_by_topk(self, tables):
+        spec = q.QuerySpec(
+            qtype=q.TOPK_GROUP_KEY, table="events", k=5, order_col="country",
+            group_cols=("country",),
+            plan_ops=(PlanOp("groupby", group_keys=("country",)),),
+        )
+        r = run_pruning_flow(spec, tables)
+        with pytest.raises(ValueError):
+            execute(None, tables, r)
+
     def test_topk_after_filter(self, tables):
         spec = q.QuerySpec(
             qtype=q.TOPK, table="events", k=5, order_col="ts",
@@ -144,13 +155,6 @@ class TestTopKStage:
         r = run_pruning_flow(spec, tables)
         assert r.techniques["topk"].eligible
         assert r.overall_ratio > 0.5
-
-    def test_topk_random_strategy_runs(self, tables):
-        spec = q.QuerySpec(
-            qtype=q.TOPK, table="events", k=10, order_col="amount",
-        )
-        r = run_pruning_flow(spec, tables, topk_strategy="random")
-        assert r.techniques["topk"].eligible
 
 
 class TestCombined:
@@ -188,13 +192,10 @@ class TestCombined:
         assert r.total_partitions == n_ev + n_inc
 
     def test_flow_execution_matches_unpruned(self, spark, tables):
-        """Post-flow scan set + Spark filter == unpruned filter result."""
+        """Spark over the flow's scan set == unpruned filter result."""
         pred = col("ts") >= dt.date(2025, 1, 1)
         spec = q.QuerySpec(qtype=q.SELECT, table="events", pred=pred)
         r = run_pruning_flow(spec, tables)
-        pruned = (
-            tables["events"].scan(spark, r.final_main_scan)
-            .filter(to_spark(pred)).count()
-        )
+        pruned = execute(spark, tables, r).count()
         full = tables["events"].full(spark).filter(to_spark(pred)).count()
         assert pruned == full

@@ -13,7 +13,8 @@ from repro.core.limit_pruning import (
     fully_matching_by_inverted_pass,
     prune_for_limit,
 )
-from .helpers import meta
+from repro.lake.manifest import PartitionMeta
+from .helpers import meta, ps
 from .test_filter_pruning import FIG5_PRED, fig5_partitions
 
 
@@ -49,49 +50,50 @@ def ten_parts(rows=100):
 class TestPruneForLimit:
     def test_paper_limit3_scenario(self):
         """§4.1: LIMIT 3 on Fig. 5 needs only partition 3."""
-        out = prune_for_limit(fig5_partitions(), FIG5_PRED, 3)
+        out = prune_for_limit(prune_scan_set(fig5_partitions(), FIG5_PRED), 3)
         assert out.category == PRUNED_TO_1
         assert [p.pid for p in out.scan_set] == [3]
 
     def test_limit_exceeding_fully_rows_not_prunable(self):
         # Partition 3 holds 4 rows; k=5 exceeds them.
-        out = prune_for_limit(fig5_partitions(), FIG5_PRED, 5)
+        out = prune_for_limit(prune_scan_set(fig5_partitions(), FIG5_PRED), 5)
         assert out.category == NO_FULLY_MATCHING
         # Fully-matching partitions lead the scan order (§4.1).
         assert out.scan_set[0].pid == 3
 
     def test_no_predicate_all_fully(self):
-        out = prune_for_limit(ten_parts(), None, 150)
+        out = prune_for_limit(prune_scan_set(ten_parts(), None), 150)
         assert out.category == PRUNED_TO_GT1
         assert len(out.scan_set) == 2
 
     def test_no_predicate_single_partition_enough(self):
-        out = prune_for_limit(ten_parts(), None, 10)
+        out = prune_for_limit(prune_scan_set(ten_parts(), None), 10)
         assert out.category == PRUNED_TO_1
         assert len(out.scan_set) == 1
 
     def test_limit_zero(self):
-        out = prune_for_limit(ten_parts(), None, 0)
+        out = prune_for_limit(prune_scan_set(ten_parts(), None), 0)
         assert out.category == PRUNED_TO_1
         assert out.scan_set == []
 
     def test_already_minimal(self):
-        out = prune_for_limit(ten_parts(), col("x") >= 95, 5)
+        out = prune_for_limit(prune_scan_set(ten_parts(), col("x") >= 95), 5)
         assert out.category == ALREADY_MINIMAL
         assert len(out.scan_set) == 1
 
     def test_already_minimal_empty(self):
-        out = prune_for_limit(ten_parts(), col("x") >= 1000, 5)
+        out = prune_for_limit(prune_scan_set(ten_parts(), col("x") >= 1000), 5)
         assert out.category == ALREADY_MINIMAL
         assert out.scan_set == []
 
     def test_unsupported_shape(self):
-        out = prune_for_limit(ten_parts(), None, 5, shape_supported=False)
+        fr = prune_scan_set(ten_parts(), None)
+        out = prune_for_limit(fr, 5, shape_supported=False)
         assert out.category == UNSUPPORTED_SHAPE
         assert len(out.scan_set) == 10  # scan set untouched
 
     def test_unsupported_reported_bucket(self):
-        out = prune_for_limit(fig5_partitions(), FIG5_PRED, 5)
+        out = prune_for_limit(prune_scan_set(fig5_partitions(), FIG5_PRED), 5)
         assert out.reported_category == UNSUPPORTED_SHAPE
 
     def test_minimal_cover_uses_largest_partitions(self):
@@ -100,28 +102,56 @@ class TestPruneForLimit:
             meta(1, 100, x=(0, 9)),
             meta(2, 60, x=(0, 9)),
         ]
-        out = prune_for_limit(parts, col("x") >= 0, 120)
+        out = prune_for_limit(prune_scan_set(parts, col("x") >= 0), 120)
         assert out.category == PRUNED_TO_GT1
         assert [p.pid for p in out.scan_set] == [1, 2]
 
     def test_exact_k_boundary(self):
         parts = [meta(0, 50, x=(0, 9)), meta(1, 50, x=(0, 9))]
-        out = prune_for_limit(parts, None, 50)
+        out = prune_for_limit(prune_scan_set(parts, None), 50)
         assert out.category == PRUNED_TO_1
-        out = prune_for_limit(parts, None, 51)
+        out = prune_for_limit(prune_scan_set(parts, None), 51)
         assert out.category == PRUNED_TO_GT1
 
     def test_pruning_ratio(self):
-        out = prune_for_limit(ten_parts(), None, 10)
+        out = prune_for_limit(prune_scan_set(ten_parts(), None), 10)
         assert out.pruning_ratio == pytest.approx(0.9)
 
     def test_mixed_fully_and_partial(self):
         # Predicate x >= 45: partitions 5..9 fully, 4 partial.
-        out = prune_for_limit(ten_parts(), col("x") >= 45, 100)
+        out = prune_for_limit(prune_scan_set(ten_parts(), col("x") >= 45), 100)
         assert out.category == PRUNED_TO_1
         assert len(out.scan_set) == 1
-        out = prune_for_limit(ten_parts(), col("x") >= 45, 450)
+        out = prune_for_limit(prune_scan_set(ten_parts(), col("x") >= 45), 450)
         assert out.category == PRUNED_TO_GT1
         assert len(out.scan_set) == 5
-        out = prune_for_limit(ten_parts(), col("x") >= 45, 501)
+        out = prune_for_limit(prune_scan_set(ten_parts(), col("x") >= 45), 501)
         assert out.category == NO_FULLY_MATCHING
+
+
+class TestLinearCost:
+    def test_partial_set_needs_no_partition_comparisons(self):
+        """Splitting partial from fully-matching partitions looks pids up
+        in a set; membership in the fully-matching *list* would compare
+        partitions pairwise, quadratic in the scan set."""
+        comparisons = 0
+
+        class Counted(PartitionMeta):
+            def __eq__(self, other):
+                nonlocal comparisons
+                comparisons += 1
+                return super().__eq__(other)
+
+            __hash__ = PartitionMeta.__hash__
+
+        # Even pids fully match x >= 5, odd pids only partially.
+        parts = [
+            Counted(i, f"p{i}", ps(10, x=(5, 9) if i % 2 == 0 else (0, 9)))
+            for i in range(400)
+        ]
+        fr = prune_scan_set(parts, col("x") >= 5)
+        assert len(fr.fully_matching) == 200
+        out = prune_for_limit(fr, 10 ** 6)  # more rows than fully-matching hold
+        assert out.category == NO_FULLY_MATCHING
+        assert [p.pid % 2 for p in out.scan_set] == [0] * 200 + [1] * 200
+        assert comparisons == 0
