@@ -13,8 +13,9 @@ One AST drives everything the paper's pruning stack needs:
 * :func:`to_spark`    — compile to a PySpark ``Column`` for execution;
 * :func:`to_sql`      — compile to SQL text (DuckDB oracle, workload
   classifier);
-* :func:`to_pandas_mask` — evaluate on a pandas frame with SQL
-  three-valued-logic semantics (the simulated warehouse worker).
+* :func:`to_arrow`    — compile to an Arrow compute expression with SQL
+  three-valued-logic semantics, which the simulated warehouse worker
+  pushes into its Parquet read.
 
 Keeping all backends on one AST lets tests assert they agree row-for-row,
 so a pruning decision proven sound against ``eval3`` is sound for the
@@ -23,12 +24,12 @@ plan Spark actually executes.
 from __future__ import annotations
 
 import datetime as _dt
-import re
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from . import intervals as iv
 from .intervals import TOP, Interval
@@ -310,6 +311,12 @@ class VBounds:
     all_null: bool = False
 
 
+def _unbounded_if_nan(v: Optional[Value]) -> Optional[Value]:
+    """Spark orders NaN above every double, so a NaN bound (Spark's
+    ``max`` when any NaN is present) is no finite bound at all."""
+    return None if isinstance(v, float) and math.isnan(v) else v
+
+
 def bounds(e: Expr, stats: PartitionStats) -> VBounds:
     """Derive the min/max range of value expression ``e`` on a partition.
 
@@ -323,7 +330,10 @@ def bounds(e: Expr, stats: PartitionStats) -> VBounds:
             return VBounds(TOP, may_null=True)
         if cs.all_null:
             return VBounds(TOP, may_null=True, all_null=stats.row_count > 0)
-        return VBounds(Interval(cs.min, cs.max), may_null=cs.has_nulls())
+        return VBounds(
+            Interval(_unbounded_if_nan(cs.min), _unbounded_if_nan(cs.max)),
+            may_null=cs.has_nulls(),
+        )
     if isinstance(e, Lit):
         if e.value is None:
             return VBounds(TOP, may_null=True, all_null=True)
@@ -669,125 +679,66 @@ def to_sql(e: Expr) -> str:
 
 
 # --------------------------------------------------------------------------
-# Backend 5 — pandas evaluation with SQL 3VL semantics
+# Backend 5 — Arrow compute expression (the simulated warehouse worker)
 # --------------------------------------------------------------------------
 
 
-def _pd_norm_lit(v: Optional[Value]) -> Any:
-    """pandas stores dates/datetimes as datetime64 — normalise literals."""
-    if isinstance(v, _dt.date):
-        return pd.Timestamp(v)
-    return v
+def to_arrow(e: Expr) -> pc.Expression:
+    """Compile to a ``pyarrow.compute.Expression`` with SQL semantics.
 
-
-def _pd_value(e: Expr, pdf: pd.DataFrame) -> Tuple[pd.Series, pd.Series]:
-    """Evaluate a value expression → (values, isnull mask)."""
-    n = len(pdf)
+    The worker read pushes it into ``pq.read_table(filters=...)``.
+    Arrow's ``&``/``|``/``~`` are already Kleene, and its comparisons,
+    LIKE and STARTSWITH give NULL on a NULL argument; three cases need
+    help to match SQL: IN on a NULL argument is NULL (Arrow's ``is_in``
+    says False), an IF whose condition is NULL takes the ELSE branch,
+    and ``/`` divides as float64.
+    """
     if isinstance(e, Col):
-        s = pdf[e.name]
-        return s, s.isna()
+        return pc.field(e.name)
     if isinstance(e, Lit):
-        v = _pd_norm_lit(e.value)
-        isnull = pd.Series(v is None, index=pdf.index)
-        return pd.Series([v] * n, index=pdf.index), isnull
+        return pc.scalar(e.value)
     if isinstance(e, Arith):
-        lv, ln = _pd_value(e.left, pdf)
-        rv, rn = _pd_value(e.right, pdf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = {
-                "+": lv + rv,
-                "-": lv - rv,
-                "*": lv * rv,
-                "/": lv / rv,
-            }[e.op]
-        return out, ln | rn
-    if isinstance(e, If):
-        ct, _cf = _pd_mask(e.cond, pdf)
-        tv, tn = _pd_value(e.then, pdf)
-        ov, on = _pd_value(e.otherwise, pdf)
-        vals = tv.where(ct, ov)  # NULL/False condition → ELSE branch
-        nulls = tn.where(ct, on)
-        return vals, nulls.astype(bool)
-    raise TypeError(f"not a value expression: {e!r}")
-
-
-def _like_regex(pattern: str) -> str:
-    out: List[str] = []
-    i = 0
-    while i < len(pattern):
-        ch = pattern[i]
-        if ch == "\\" and i + 1 < len(pattern):
-            out.append(re.escape(pattern[i + 1]))
-            i += 2
-            continue
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-        i += 1
-    return "^" + "".join(out) + "$"
-
-
-def _pd_mask(e: Expr, pdf: pd.DataFrame) -> Tuple[pd.Series, pd.Series]:
-    """Evaluate a predicate → (is_TRUE mask, is_FALSE mask); rest is NULL."""
+        l, r = to_arrow(e.left), to_arrow(e.right)
+        if e.op == "/":
+            return pc.divide(l.cast(pa.float64()), r.cast(pa.float64()))
+        return {"+": l + r, "-": l - r, "*": l * r}[e.op]
     if isinstance(e, Cmp):
-        lv, ln = _pd_value(e.left, pdf)
-        rv, rn = _pd_value(e.right, pdf)
-        nn = ~(ln | rn)
-        cmp = {
-            "<": lv < rv,
-            "<=": lv <= rv,
-            ">": lv > rv,
-            ">=": lv >= rv,
-            "=": lv == rv,
-            "!=": lv != rv,
-        }[e.op].fillna(False).astype(bool)
-        return cmp & nn, ~cmp & nn
+        l, r = to_arrow(e.left), to_arrow(e.right)
+        return {
+            "<": l < r,
+            "<=": l <= r,
+            ">": l > r,
+            ">=": l >= r,
+            "=": l == r,
+            "!=": l != r,
+        }[e.op]
     if isinstance(e, And):
-        t = pd.Series(True, index=pdf.index)
-        f = pd.Series(False, index=pdf.index)
-        for a in e.args:
-            at, af = _pd_mask(a, pdf)
-            t, f = t & at, f | af
-        return t, f
+        out = to_arrow(e.args[0])
+        for a in e.args[1:]:
+            out = out & to_arrow(a)
+        return out
     if isinstance(e, Or):
-        t = pd.Series(False, index=pdf.index)
-        f = pd.Series(True, index=pdf.index)
-        for a in e.args:
-            at, af = _pd_mask(a, pdf)
-            t, f = t | at, f & af
-        return t, f
+        out = to_arrow(e.args[0])
+        for a in e.args[1:]:
+            out = out | to_arrow(a)
+        return out
     if isinstance(e, Not):
-        t, f = _pd_mask(e.arg, pdf)
-        return f, t
+        return ~to_arrow(e.arg)
+    if isinstance(e, If):
+        return pc.if_else(
+            pc.coalesce(to_arrow(e.cond), False),
+            to_arrow(e.then),
+            to_arrow(e.otherwise),
+        )
     if isinstance(e, Like):
-        v, isnull = _pd_value(e.arg, pdf)
-        m = v.astype("string").str.match(_like_regex(e.pattern)).fillna(False)
-        m = m.astype(bool)
-        return m & ~isnull, ~m & ~isnull
+        return pc.match_like(to_arrow(e.arg), e.pattern)
     if isinstance(e, StartsWith):
-        v, isnull = _pd_value(e.arg, pdf)
-        m = v.astype("string").str.startswith(e.prefix).fillna(False).astype(bool)
-        return m & ~isnull, ~m & ~isnull
+        return pc.starts_with(to_arrow(e.arg), e.prefix)
     if isinstance(e, InList):
-        v, isnull = _pd_value(e.arg, pdf)
-        m = v.isin([_pd_norm_lit(x) for x in e.values]).astype(bool)
-        return m & ~isnull, ~m & ~isnull
+        a = to_arrow(e.arg)
+        return pc.if_else(
+            a.is_null(), pa.scalar(None, pa.bool_()), a.isin(list(e.values))
+        )
     if isinstance(e, IsNull):
-        _v, isnull = _pd_value(e.arg, pdf)
-        return isnull.astype(bool), ~isnull.astype(bool)
-    if isinstance(e, Lit):
-        if e.value is None:
-            z = pd.Series(False, index=pdf.index)
-            return z, z.copy()
-        t = pd.Series(bool(e.value), index=pdf.index)
-        return t, ~t
-    raise TypeError(f"not a predicate: {e!r}")
-
-
-def to_pandas_mask(e: Expr, pdf: pd.DataFrame) -> pd.Series:
-    """Rows where the predicate evaluates to TRUE (SQL filter semantics)."""
-    t, _f = _pd_mask(e, pdf)
-    return t
+        return to_arrow(e.arg).is_null()
+    raise TypeError(f"cannot compile {e!r}")

@@ -8,34 +8,25 @@ boundary can be pre-initialized at compile time from fully-matching
 partitions (§5.4), enabling pruning from the very first partition.
 
 The partition scan inside the loop is the simulated warehouse worker: a
-caller-supplied ``reader(meta) -> pandas.DataFrame``; the final query
-result is produced by Spark over the retained scan set and oracle-checked
-in tests (pruning preserves the top-k *value multiset* — SQL top-k is
+caller-supplied ``reader(meta, columns, filter)`` that returns a pandas
+frame of the partition's rows passing the Arrow ``filter`` (``None``:
+every row), restricted to ``columns`` — ``LakeTable.read_partition_pandas``
+on a lake.  The loop asks only for the order column, with the predicate
+compiled by :func:`repro.core.expr.to_arrow`.  The final query result is
+produced by Spark over the retained scan set and oracle-checked in tests
+(pruning preserves the top-k *value multiset* — SQL top-k is
 nondeterministic among ties anyway).
 """
 from __future__ import annotations
 
-import datetime as _dt
+import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-import pandas as pd
-
-from .expr import Expr, to_pandas_mask
+from .expr import Expr, to_arrow
 from .stats import PartitionStats
 
-
-def _norm(v):
-    """Align date-typed metadata with pandas' datetime64 heap values.
-
-    Manifest stats store ``datetime.date``; partition reads surface the
-    same column as ``pd.Timestamp``.  Python forbids comparing the two,
-    so all boundary comparisons go through this coercion.
-    """
-    if isinstance(v, _dt.date) and not isinstance(v, _dt.datetime):
-        return pd.Timestamp(v)
-    return v
 
 # -- supported plan shapes (§5.2, Fig. 7) -----------------------------------
 
@@ -226,7 +217,7 @@ def _partition_prunable(
     if cs.all_null:
         return heap_covers_boundary
     try:
-        best = _norm(cs.max if desc else cs.min)
+        best = cs.max if desc else cs.min
         if (best < boundary) if desc else (best > boundary):
             return True
         if heap_covers_boundary:
@@ -238,7 +229,7 @@ def _partition_prunable(
 
 def topk_scan(
     partitions: Sequence,
-    reader: Callable[[object], pd.DataFrame],
+    reader: Callable[..., Any],
     order_col: str,
     k: int,
     *,
@@ -247,52 +238,40 @@ def topk_scan(
     strategy: str = "sort",
     seed: int = 0,
     initial_boundary: Optional[object] = None,
-    prune: bool = True,
 ) -> TopKScanResult:
     """Run the §5.2 runtime loop over an (already filter-pruned) scan set.
 
     Sequentially processes partitions in the chosen order, maintaining
     the top-k order-value list; prunes each upcoming partition against
-    the current boundary before reading it.  ``prune=False`` gives the
-    standard heap-based baseline (scan everything) for comparison.
+    the current boundary before reading it.
     """
     result = TopKScanResult(initial_boundary=initial_boundary)
     ordered = order_partitions(
         partitions, order_col, desc=desc, strategy=strategy, seed=seed
     )
-    top = pd.Series(dtype="object")
-    boundary = _norm(initial_boundary)
+    best = heapq.nlargest if desc else heapq.nsmallest
+    row_filter = None if pred is None else to_arrow(pred)
+    top: List = []
+    boundary = initial_boundary
 
     for p in ordered:
-        heap_full = k > 0 and len(top) == k
         heap_covers = bool(
-            heap_full
+            k > 0
+            and len(top) == k
             and boundary is not None
-            and (
-                (top.iloc[-1] >= boundary)
-                if desc
-                else (top.iloc[-1] <= boundary)
-            )
+            and ((top[-1] >= boundary) if desc else (top[-1] <= boundary))
         )
-        if prune and boundary is not None and _partition_prunable(
+        if boundary is not None and _partition_prunable(
             p.stats, order_col, boundary, desc, heap_covers
         ):
             result.pruned.append(p)
             continue
-        pdf = reader(p)
-        if pred is not None and len(pdf):
-            pdf = pdf[to_pandas_mask(pred, pdf)]
-        vals = pdf[order_col].dropna() if len(pdf) else pd.Series(dtype="object")
+        vals = reader(p, [order_col], row_filter)[order_col].dropna().tolist()
         result.scanned.append(p)
-        if len(vals):
-            top = (
-                vals.reset_index(drop=True)
-                if top.empty
-                else pd.concat([top, vals], ignore_index=True)
-            )
-            top = top.sort_values(ascending=not desc, ignore_index=True).head(k)
+        if vals:
+            top = best(k, top + vals)
         if len(top) == k and k > 0:
-            heap_edge = top.iloc[-1]
+            heap_edge = top[-1]
             if boundary is None or (
                 heap_edge > boundary if desc else heap_edge < boundary
             ):
@@ -300,5 +279,5 @@ def topk_scan(
         result.boundary_history.append(boundary)
 
     result.final_boundary = boundary
-    result.top_values = top.tolist()
+    result.top_values = top
     return result

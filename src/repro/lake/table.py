@@ -220,13 +220,21 @@ class LakeTable:
         """Unpruned scan over every micro-partition."""
         return self.scan(spark, self.manifest.partitions)
 
-    def read_partition_pandas(self, meta: PartitionMeta) -> pd.DataFrame:
+    def read_partition_pandas(
+        self,
+        meta: PartitionMeta,
+        columns: Optional[List[str]] = None,
+        filter: Optional[pc.Expression] = None,
+    ) -> pd.DataFrame:
         """Single-partition read on the simulated warehouse-worker path.
 
-        Dates map to ``datetime64[ns]`` so pandas-mask predicate
-        evaluation (`repro.core.expr.to_pandas_mask`) behaves like SQL.
+        Returns the rows passing ``filter`` (an Arrow expression from
+        `repro.core.expr.to_arrow`; ``None`` keeps every row), with only
+        ``columns`` (``None``: all).  Arrow applies the filter during the
+        read, so the filter's columns need not be in ``columns``.  Dates
+        arrive as ``datetime.date``, the type of the manifest stats.
         """
-        return pq.read_table(meta.path).to_pandas(date_as_object=False)
+        return pq.read_table(meta.path, columns=columns, filters=filter).to_pandas()
 
     def to_pandas(self) -> pd.DataFrame:
         """Whole table as pandas (oracle inputs at test scale)."""

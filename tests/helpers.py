@@ -4,6 +4,8 @@
 tests; ``partition_pandas`` micro-partitions a pandas frame purely in
 Python (stats computed with pandas) so pruning soundness can be
 property-tested against brute-force row evaluation without Spark.
+Rows are evaluated with the worker's evaluator, ``to_arrow``, on the
+frame converted to Arrow (pandas NaN becomes NULL, as DuckDB reads it).
 """
 from __future__ import annotations
 
@@ -12,8 +14,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
-from repro.core.expr import Expr, to_pandas_mask
+from repro.core.expr import Expr, to_arrow
 from repro.core.filter_pruning import (
     FULLY_MATCHING,
     NOT_MATCHING,
@@ -84,20 +87,36 @@ def partition_pandas(
     return metas, frames
 
 
+def arrow_filter(pdf: pd.DataFrame, pred: Optional[Expr]) -> pd.DataFrame:
+    """Rows of ``pdf`` where ``pred`` is TRUE, evaluated by Arrow; the
+    frame's index is kept, so callers can compare row positions."""
+    if pred is None:
+        return pdf
+    t = pa.Table.from_pandas(pdf, preserve_index=True)
+    return t.filter(to_arrow(pred)).to_pandas()
+
+
 def reader_for(frames: Dict[int, pd.DataFrame]):
-    return lambda m: frames[m.pid]
+    """A worker reader, ``reader(meta, columns, filter)``, over in-memory
+    partitions (same contract as ``LakeTable.read_partition_pandas``)."""
+
+    def read(m, columns, filter):
+        t = pa.Table.from_pandas(frames[m.pid], preserve_index=False)
+        if filter is not None:
+            t = t.filter(filter)
+        return t.select(columns).to_pandas()
+
+    return read
 
 
 def brute_classify(pred: Optional[Expr], pdf: pd.DataFrame) -> str:
     """Ground-truth partition classification by evaluating every row."""
     if len(pdf) == 0:
         return NOT_MATCHING
-    if pred is None:
-        return FULLY_MATCHING
-    m = to_pandas_mask(pred, pdf)
-    if not m.any():
+    n = len(arrow_filter(pdf, pred))
+    if n == 0:
         return NOT_MATCHING
-    if m.all():
+    if n == len(pdf):
         return FULLY_MATCHING
     return PARTIALLY_MATCHING
 
@@ -110,7 +129,5 @@ def brute_topk_values(
     desc: bool = True,
 ) -> List:
     """Ground-truth top-k order-value multiset over a full frame."""
-    if pred is not None:
-        pdf = pdf[to_pandas_mask(pred, pdf)]
-    vals = pdf[order_col].dropna()
+    vals = arrow_filter(pdf, pred)[order_col].dropna()
     return vals.sort_values(ascending=not desc).head(k).tolist()

@@ -6,8 +6,8 @@ For *random* predicates over *random* partitioned data:
    qualifying row;
 2. (no false "fully" claims) a partition classified FULLY_MATCHING holds
    only qualifying rows;
-3. the pandas-mask backend agrees row-for-row with DuckDB running the
-   SQL rendering of the same predicate.
+3. the Arrow backend (the worker's row evaluator) agrees row-for-row
+   with DuckDB running the SQL rendering of the same predicate.
 """
 import datetime as dt
 
@@ -25,7 +25,6 @@ from repro.core.expr import (
     like,
     not_,
     or_,
-    to_pandas_mask,
     to_sql,
 )
 from repro.core.filter_pruning import (
@@ -33,7 +32,7 @@ from repro.core.filter_pruning import (
     NOT_MATCHING,
     classify_partition,
 )
-from .helpers import brute_classify, partition_pandas
+from .helpers import arrow_filter, brute_classify, partition_pandas
 
 # -- data strategy ----------------------------------------------------------
 
@@ -119,8 +118,8 @@ def test_classification_soundness(pdf, pred, n_parts, cluster):
 
 @settings(max_examples=120, deadline=None)
 @given(pdf=frames(), pred=preds())
-def test_pandas_mask_matches_duckdb(pdf, pred):
-    mask = to_pandas_mask(pred, pdf)
+def test_arrow_filter_matches_duckdb(pdf, pred):
+    got_arrow = arrow_filter(pdf.reset_index(drop=True), pred).index.tolist()
     con = duckdb.connect()
     try:
         con.register("t", pdf.reset_index(drop=True).reset_index())
@@ -129,7 +128,7 @@ def test_pandas_mask_matches_duckdb(pdf, pred):
         ).fetchdf()["index"].tolist()
     finally:
         con.close()
-    assert mask[mask].index.tolist() == got, to_sql(pred)
+    assert got_arrow == got, to_sql(pred)
 
 
 @settings(max_examples=80, deadline=None)
@@ -138,6 +137,7 @@ def test_invert_mask_is_complement_of_non_null(pdf, pred):
     """invert(p) TRUE-rows and p TRUE-rows are disjoint; their union is
     all rows where p is not NULL."""
     from repro.core.expr import invert
-    m = to_pandas_mask(pred, pdf)
-    mi = to_pandas_mask(invert(pred), pdf)
-    assert not (m & mi).any()
+    pdf = pdf.reset_index(drop=True)
+    m = set(arrow_filter(pdf, pred).index)
+    mi = set(arrow_filter(pdf, invert(pred)).index)
+    assert not m & mi

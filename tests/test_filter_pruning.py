@@ -1,7 +1,11 @@
 """Tests for scan-set filter pruning (§3) and partition classification."""
 import datetime as dt
+import math
 
-from repro.core.expr import and_, col, like
+import pyarrow as pa
+from pyspark.sql import functions as F
+
+from repro.core.expr import and_, col, like, not_, to_spark
 from repro.core.filter_pruning import (
     FULLY_MATCHING,
     NOT_MATCHING,
@@ -9,6 +13,7 @@ from repro.core.filter_pruning import (
     classify_partition,
     prune_scan_set,
 )
+from repro.lake import LakeTable
 from .helpers import meta, ps
 
 
@@ -113,3 +118,36 @@ class TestPruneScanSet:
         r = prune_scan_set(parts, FIG5_PRED)
         assert 1 in {p.pid for p in r.pruned}
         assert 3 in {p.pid for p in r.fully_matching}
+
+
+class TestSparkNaNOrder:
+    """Spark orders NaN above every double, so ``NaN > 5`` is TRUE.  The
+    writer records Spark's ``max`` — NaN — for a partition holding one;
+    that bound must not prune rows Spark would return."""
+
+    def nan_table(self, tmp_path):
+        x = [float(i) for i in range(8)] + [math.nan]
+        arrow = pa.table({"k": pa.array(range(9), pa.int64()), "x": x})
+        return LakeTable.write(arrow, tmp_path / "t", n_partitions=3, cluster_by=["k"])
+
+    def test_nan_max_partition_is_kept(self, spark, tmp_path):
+        t = self.nan_table(tmp_path)
+        last = t.manifest.partitions[2].stats.col("x")
+        assert last.min == 6.0 and math.isnan(last.max)
+        pred = col("x") > 5
+        pr = prune_scan_set(t.manifest.partitions, pred)
+        assert [p.pid for p in pr.retained] == [2]
+        assert [p.pid for p in pr.fully_matching] == [2]
+        negated = prune_scan_set(t.manifest.partitions, not_(pred))
+        assert [p.pid for p in negated.retained] == [0, 1]
+        # Spark's native plan over every file: the TRUE rows all sit in
+        # files the metadata kept.
+        per_file = dict(
+            t.full(spark).filter(to_spark(pred))
+            .groupBy(F.col("_metadata.file_name")).count().collect()
+        )
+        assert per_file == {"part-00002.parquet": 3}
+
+    def test_all_nan_partition_is_unbounded(self):
+        p = meta(0, 2, x=(math.nan, math.nan))
+        assert classify_partition(col("x") > 5, p.stats) != NOT_MATCHING

@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.expr import and_, col, like, to_arrow, to_spark
 from repro.core.stats import ColStats
 from repro.lake import LakeTable, Manifest
 from repro.lake.manifest import PartitionMeta
@@ -310,11 +311,26 @@ class TestReader:
         assert pdf["id"].min() == p.stats.col("id").min
         assert pdf["id"].max() == p.stats.col("id").max
 
-    def test_pandas_dates_are_datetime64(self, small_table):
-        pdf = small_table.read_partition_pandas(
-            small_table.manifest.partitions[0]
+    def test_read_fetches_only_columns_and_rows_asked(self, spark, small_table):
+        p = small_table.manifest.partitions[2]
+        pred = and_(col("val") > 150.0, like(col("name"), "row03%"))
+        got = small_table.read_partition_pandas(p, ["id", "d"], to_arrow(pred))
+        want = (
+            small_table.scan(spark, [p]).filter(to_spark(pred))
+            .select("id", "d").toPandas()
         )
-        assert pd.api.types.is_datetime64_any_dtype(pdf["d"])
+        assert list(got.columns) == ["id", "d"]
+        assert 0 < len(got) < p.row_count
+        assert sorted(got.itertuples(index=False)) == sorted(
+            want.itertuples(index=False)
+        )
+
+    def test_read_dates_compare_with_stats(self, small_table):
+        p = small_table.manifest.partitions[0]
+        d = small_table.read_partition_pandas(p, ["d"])["d"].tolist()
+        cs = p.stats.col("d")
+        assert all(type(v) is dt.date for v in d)
+        assert (min(d), max(d)) == (cs.min, cs.max)
 
     def test_to_pandas_whole_table(self, small_table):
         pdf = small_table.to_pandas()

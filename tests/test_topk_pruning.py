@@ -212,11 +212,6 @@ class TestTopKScan:
         res = self.run_case(clustered_frame(), k=0)
         assert res.top_values == []
 
-    def test_no_prune_baseline_scans_all(self):
-        metas, frames = partition_pandas(clustered_frame(), 10, cluster_by="v")
-        res = topk_scan(metas, reader_for(frames), "v", 10, prune=False)
-        assert len(res.scanned) == 10 and res.pruned == []
-
     def test_boundary_tightens_monotonically(self):
         res = self.run_case(clustered_frame(), k=10)
         hist = [b for b in res.boundary_history if b is not None]
