@@ -14,8 +14,8 @@ One AST drives everything the paper's pruning stack needs:
 * :func:`to_sql`      — compile to SQL text (DuckDB oracle, workload
   classifier);
 * :func:`to_arrow`    — compile to an Arrow compute expression with SQL
-  three-valued-logic semantics, which the simulated warehouse worker
-  pushes into its Parquet read.
+  three-valued-logic semantics and Spark's NaN order, which the
+  simulated warehouse worker runs on the rows it reads.
 
 Keeping all backends on one AST lets tests assert they agree row-for-row,
 so a pruning decision proven sound against ``eval3`` is sound for the
@@ -640,6 +640,9 @@ def _sql_lit(v: Optional[Value]) -> str:
         return f"DATE '{v.isoformat()}'"
     if isinstance(v, bool):
         return "TRUE" if v else "FALSE"
+    if isinstance(v, float) and not math.isfinite(v):
+        word = "NaN" if math.isnan(v) else ("Infinity" if v > 0 else "-Infinity")
+        return f"CAST('{word}' AS DOUBLE)"
     return repr(v)
 
 
@@ -686,12 +689,14 @@ def to_sql(e: Expr) -> str:
 def to_arrow(e: Expr) -> pc.Expression:
     """Compile to a ``pyarrow.compute.Expression`` with SQL semantics.
 
-    The worker read pushes it into ``pq.read_table(filters=...)``.
+    The worker read filters a partition's rows with it.
     Arrow's ``&``/``|``/``~`` are already Kleene, and its comparisons,
-    LIKE and STARTSWITH give NULL on a NULL argument; three cases need
-    help to match SQL: IN on a NULL argument is NULL (Arrow's ``is_in``
-    says False), an IF whose condition is NULL takes the ELSE branch,
-    and ``/`` divides as float64.
+    LIKE and STARTSWITH give NULL on a NULL argument; four cases need
+    help to match SQL as Spark runs it: comparisons order NaN above
+    every double with NaN = NaN (Arrow compares as IEEE does, see
+    :func:`_arrow_cmp`), IN on a NULL argument is NULL (Arrow's
+    ``is_in`` says False), an IF whose condition is NULL takes the ELSE
+    branch, and ``/`` divides as float64.
     """
     if isinstance(e, Col):
         return pc.field(e.name)
@@ -703,15 +708,7 @@ def to_arrow(e: Expr) -> pc.Expression:
             return pc.divide(l.cast(pa.float64()), r.cast(pa.float64()))
         return {"+": l + r, "-": l - r, "*": l * r}[e.op]
     if isinstance(e, Cmp):
-        l, r = to_arrow(e.left), to_arrow(e.right)
-        return {
-            "<": l < r,
-            "<=": l <= r,
-            ">": l > r,
-            ">=": l >= r,
-            "=": l == r,
-            "!=": l != r,
-        }[e.op]
+        return _arrow_cmp(e)
     if isinstance(e, And):
         out = to_arrow(e.args[0])
         for a in e.args[1:]:
@@ -742,3 +739,57 @@ def to_arrow(e: Expr) -> pc.Expression:
     if isinstance(e, IsNull):
         return to_arrow(e.arg).is_null()
     raise TypeError(f"cannot compile {e!r}")
+
+
+def _arrow_nan(x: Expr, ax: pc.Expression) -> Any:
+    """"``x`` is NaN" as an Arrow expression — NaN is the one value not
+    equal to itself, whatever the column type — or as a constant when
+    ``x`` is a literal."""
+    if isinstance(x, Lit):
+        return isinstance(x.value, float) and math.isnan(x.value)
+    return ax != ax
+
+
+def _and_const(a: Any, b: Any) -> Any:
+    """Kleene AND of two Arrow expressions or Python bools, folding the
+    bools away."""
+    if a is False or b is False:
+        return False
+    if a is True:
+        return b
+    return a if b is True else a & b
+
+
+def _arrow_cmp(e: Cmp) -> pc.Expression:
+    """Comparison in Spark's total order on doubles: NaN is greater than
+    every other value and equal to itself.  Arrow's IEEE result is
+    right unless a NaN meets a non-NULL value, so each operator ORs in
+    the pairs that order makes TRUE:
+
+    * ``l < r``  — ``r`` is NaN and ``l`` is not;
+    * ``l <= r`` — ``r`` is NaN and ``l`` is not NULL;
+    * ``l = r``  — both are NaN (``!=`` is its negation).
+
+    ``>``/``>=`` swap their sides.  Each added term is NULL or FALSE
+    whenever a side is NULL, so NULL still propagates; against a
+    non-NaN literal most terms fold away and the plain comparison is
+    left.  A NULL literal makes the comparison NULL."""
+    op, left, right = e.op, e.left, e.right
+    if any(isinstance(x, Lit) and x.value is None for x in (left, right)):
+        return pc.scalar(pa.scalar(None, pa.bool_()))
+    if op in (">", ">="):
+        op, left, right = op.replace(">", "<"), right, left
+    l, r = to_arrow(left), to_arrow(right)
+    nan_l, nan_r = _arrow_nan(left, l), _arrow_nan(right, r)
+    if op == "<":
+        base = l < r
+        not_nan_l = (not nan_l) if isinstance(nan_l, bool) else ~nan_l
+        extra = _and_const(nan_r, not_nan_l)
+    elif op == "<=":
+        base = l <= r
+        extra = _and_const(nan_r, True if isinstance(left, Lit) else l.is_valid())
+    else:
+        base = l == r
+        extra = _and_const(nan_l, nan_r)
+    out = base if extra is False else base | extra
+    return ~out if op == "!=" else out

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .expr import to_arrow
 from .filter_pruning import PruneResult, prune_scan_set
 from .join_pruning import RangeSummary, prune_probe_partitions
 from .limit_pruning import LimitPruneOutcome, prune_for_limit
@@ -82,9 +81,9 @@ def run_pruning_flow(
 
     The runtime techniques (join summary build, top-k loop) read
     partitions on the simulated worker path, ``read_partition_pandas``,
-    each fetching one column with the stage's predicate pushed into the
-    read: the build key under ``build_pred``, the order column under
-    ``pred``.
+    each returning one column of the rows that pass the stage's
+    predicate: the build key under ``build_pred``, the order column
+    under ``pred``.
     """
     main = tables[spec.table]
     main_parts = list(main.manifest.partitions)
@@ -116,10 +115,9 @@ def run_pruning_flow(
         jt.eligible = True
         j = spec.join
         build = tables[j.build_table]
-        build_filter = None if j.build_pred is None else to_arrow(j.build_pred)
         build_vals: List = []
         for bp in build_scan:
-            pdf = build.read_partition_pandas(bp, [j.build_key], build_filter)
+            pdf = build.read_partition_pandas(bp, [j.build_key], j.build_pred)
             build_vals.extend(pdf[j.build_key].dropna().tolist())
         summary = RangeSummary.build(build_vals)
         jr = prune_probe_partitions(main_scan, j.probe_key, summary)

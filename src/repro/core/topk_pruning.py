@@ -9,10 +9,10 @@ partitions (§5.4), enabling pruning from the very first partition.
 
 The partition scan inside the loop is the simulated warehouse worker: a
 caller-supplied ``reader(meta, columns, filter)`` that returns a pandas
-frame of the partition's rows passing the Arrow ``filter`` (``None``:
-every row), restricted to ``columns`` — ``LakeTable.read_partition_pandas``
-on a lake.  The loop asks only for the order column, with the predicate
-compiled by :func:`repro.core.expr.to_arrow`.  The final query result is
+frame of the partition's rows where predicate ``filter`` is TRUE
+(``None``: every row), restricted to ``columns`` —
+``LakeTable.read_partition_pandas`` on a lake.  The loop asks only for
+the order column, filtered by the query predicate.  The final query result is
 produced by Spark over the retained scan set and oracle-checked in tests
 (pruning preserves the top-k *value multiset* — SQL top-k is
 nondeterministic among ties anyway).
@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .expr import Expr, to_arrow
+from .expr import Expr
 from .stats import PartitionStats
 
 
@@ -250,7 +250,6 @@ def topk_scan(
         partitions, order_col, desc=desc, strategy=strategy, seed=seed
     )
     best = heapq.nlargest if desc else heapq.nsmallest
-    row_filter = None if pred is None else to_arrow(pred)
     top: List = []
     boundary = initial_boundary
 
@@ -266,7 +265,7 @@ def topk_scan(
         ):
             result.pruned.append(p)
             continue
-        vals = reader(p, [order_col], row_filter)[order_col].dropna().tolist()
+        vals = reader(p, [order_col], pred)[order_col].dropna().tolist()
         result.scanned.append(p)
         if vals:
             top = best(k, top + vals)

@@ -37,6 +37,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 from pyspark.sql.pandas.types import from_arrow_schema
 
+from repro.core.expr import Expr, columns as expr_columns, to_arrow
 from repro.core.stats import ColStats, PartitionStats
 from .manifest import Manifest, PartitionMeta
 
@@ -224,17 +225,26 @@ class LakeTable:
         self,
         meta: PartitionMeta,
         columns: Optional[List[str]] = None,
-        filter: Optional[pc.Expression] = None,
+        filter: Optional[Expr] = None,
     ) -> pd.DataFrame:
         """Single-partition read on the simulated warehouse-worker path.
 
-        Returns the rows passing ``filter`` (an Arrow expression from
-        `repro.core.expr.to_arrow`; ``None`` keeps every row), with only
-        ``columns`` (``None``: all).  Arrow applies the filter during the
-        read, so the filter's columns need not be in ``columns``.  Dates
-        arrive as ``datetime.date``, the type of the manifest stats.
+        Returns the rows where predicate ``filter`` is TRUE (``None``
+        keeps every row), with only ``columns`` (``None``: all).  The
+        filter's own columns are read too and it runs in memory through
+        `repro.core.expr.to_arrow`, not inside the Parquet read: Arrow's
+        writer leaves NaN out of a file's min/max, so a filter pushed
+        into the read may skip a row group whose NaN rows are TRUE in
+        Spark's order.  Dates arrive as ``datetime.date``, the type of
+        the manifest stats.
         """
-        return pq.read_table(meta.path, columns=columns, filters=filter).to_pandas()
+        if filter is None:
+            return pq.read_table(meta.path, columns=columns).to_pandas()
+        read = None if columns is None else [
+            *columns, *sorted(expr_columns(filter) - set(columns))
+        ]
+        rows = pq.read_table(meta.path, columns=read).filter(to_arrow(filter))
+        return (rows if columns is None else rows.select(columns)).to_pandas()
 
     def to_pandas(self) -> pd.DataFrame:
         """Whole table as pandas (oracle inputs at test scale)."""

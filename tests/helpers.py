@@ -5,13 +5,15 @@ tests; ``partition_pandas`` micro-partitions a pandas frame purely in
 Python (stats computed with pandas) so pruning soundness can be
 property-tested against brute-force row evaluation without Spark.
 Rows are evaluated with the worker's evaluator, ``to_arrow``, on the
-frame converted to Arrow (pandas NaN becomes NULL, as DuckDB reads it).
+frame converted to Arrow (pandas NaN becomes NULL, as DuckDB reads it);
+``test_expr_property.nan_tables`` covers real NaN next to NULL.
 """
 from __future__ import annotations
 
 import datetime as dt
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -103,10 +105,20 @@ def reader_for(frames: Dict[int, pd.DataFrame]):
     def read(m, columns, filter):
         t = pa.Table.from_pandas(frames[m.pid], preserve_index=False)
         if filter is not None:
-            t = t.filter(filter)
+            t = t.filter(to_arrow(filter))
         return t.select(columns).to_pandas()
 
     return read
+
+
+def duckdb_table(tbl: pa.Table) -> duckdb.DuckDBPyConnection:
+    """Connection holding ``tbl`` as DuckDB table ``t``, with a row
+    ``index``.  The copy matters: over a registered Arrow table DuckDB
+    pushes WHERE into Arrow's scan, which compares NaN as IEEE does."""
+    con = duckdb.connect()
+    con.register("src", tbl.append_column("index", pa.array(range(len(tbl)))))
+    con.execute("CREATE TABLE t AS SELECT * FROM src")
+    return con
 
 
 def brute_classify(pred: Optional[Expr], pdf: pd.DataFrame) -> str:

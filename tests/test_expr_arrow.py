@@ -2,11 +2,17 @@
 the cases where Arrow's own kernels differ from SQL or are easy to get
 wrong.  The hypothesis property in ``test_expr_property`` checks the
 rest against DuckDB."""
+import math
+
 import pandas as pd
+import pyarrow as pa
+import pytest
 
-from repro.core.expr import col, if_, isin, like, lit, not_, startswith
+from repro.core.expr import (
+    col, if_, isin, like, lit, not_, startswith, to_arrow, to_sql,
+)
 
-from .helpers import arrow_filter
+from .helpers import arrow_filter, duckdb_table
 
 FRAME = pd.DataFrame(
     {
@@ -41,3 +47,29 @@ def test_if_with_null_condition_takes_else():
 def test_integer_division_is_float():
     assert rows(col("n") / lit(2) > 3.5) == [1, 2]
     assert rows((col("n") / lit(2)).eq(4.5)) == [2]
+
+
+NAN = pa.table({
+    "x": pa.array([1.0, math.nan, None, 6.0]),
+    "y": pa.array([math.nan, math.nan, 2.0, None]),
+})
+X, Y = col("x"), col("y")
+
+
+@pytest.mark.parametrize("pred, want", [
+    (X > 5, [1, 3]),
+    (not_(X > 5), [0]),
+    (X >= math.nan, [1]),
+    (X < math.nan, [0, 3]),
+    (X.ne(math.nan), [0, 3]),
+    (X <= Y, [0, 1]),
+    (X.eq(Y), [1]),
+    (not_(X < Y), [1]),
+])
+def test_nan_is_the_greatest_double(pred, want):
+    """Spark's order: NaN above every double, NaN = NaN, NULL stays NULL;
+    DuckDB's SQL, over its own copy of the table, agrees."""
+    t = NAN.append_column("index", pa.array(range(4)))
+    assert t.filter(to_arrow(pred))["index"].to_pylist() == want
+    sql = f"SELECT index FROM t WHERE {to_sql(pred)} ORDER BY index"
+    assert [r[0] for r in duckdb_table(NAN).execute(sql).fetchall()] == want

@@ -1,13 +1,16 @@
 """Integration tests for the combined pruning flow (§7)."""
 import datetime as dt
+import math
 
+import pyarrow as pa
 import pytest
 
 from repro.core import query as q
-from repro.core.expr import between, col, to_spark
+from repro.core.expr import between, col, not_, to_spark
 from repro.core.flow import run_pruning_flow
 from repro.core.topk_pruning import PlanOp
 from repro.engine.exec_ops import execute
+from repro.lake import LakeTable
 
 
 @pytest.fixture(scope="module")
@@ -199,3 +202,62 @@ class TestCombined:
         pruned = execute(spark, tables, r).count()
         full = tables["events"].full(spark).filter(to_spark(pred)).count()
         assert pruned == full
+
+
+class TestSparkNaNOrder:
+    """The worker's reads must keep the rows Spark keeps when a predicate
+    meets NaN, which Spark orders above every double.  Table ``nt`` has
+    partition 0 = {v 50, 60; x 0} and partition 1 = {v 99, 100; x NaN};
+    probe table ``p`` has one partition per half of ``key``."""
+
+    @pytest.fixture(scope="class")
+    def nan_tables(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("nan_lake")
+        nt = pa.table({
+            "v": pa.array([50, 60, 99, 100], pa.int64()),
+            "x": [0.0, 0.0, math.nan, math.nan],
+        })
+        probe = pa.table({"key": pa.array([50, 60, 99, 100], pa.int64())})
+        return {
+            "nt": LakeTable.write(nt, root / "nt", n_partitions=2, cluster_by=["v"]),
+            "p": LakeTable.write(probe, root / "p", n_partitions=2, cluster_by=["key"]),
+        }
+
+    def test_topk_under_negated_nan_predicate(self, spark, nan_tables):
+        """NOT (NaN > 5) is FALSE: partition 1's rows must not set the
+        boundary that would prune partition 0, which holds the answer."""
+        pred = not_(col("x") > 5)
+        spec = q.QuerySpec(
+            qtype=q.TOPK, table="nt", k=1, order_col="v", desc=True, pred=pred,
+            plan_ops=(PlanOp("filter"),),
+        )
+        r = run_pruning_flow(spec, nan_tables)
+        got = [row.v for row in execute(spark, nan_tables, r).collect()]
+        native = nan_tables["nt"].full(spark).filter(to_spark(pred))
+        assert got == [native.agg({"v": "max"}).first()[0]] == [60]
+
+    @pytest.mark.parametrize("build_pred, keys", [
+        (col("x") > 5, [99, 100]),
+        (not_(col("x") > 5), [50, 60]),
+    ])
+    def test_join_build_keys_under_nan_predicate(
+        self, spark, nan_tables, build_pred, keys
+    ):
+        """The build summary holds exactly the keys of the build rows
+        Spark keeps, so the probe partitions kept are those that join."""
+        spec = q.QuerySpec(
+            qtype=q.SELECT, table="p",
+            join=q.JoinSpec(
+                build_table="nt", build_key="v", probe_key="key",
+                build_pred=build_pred,
+            ),
+        )
+        r = run_pruning_flow(spec, nan_tables)
+        got = sorted(row.key for row in execute(spark, nan_tables, r).collect())
+        probe = nan_tables["p"].full(spark)
+        build = nan_tables["nt"].full(spark).filter(to_spark(build_pred))
+        native = sorted(
+            row.key for row in probe.join(build, probe.key == build.v).collect()
+        )
+        assert got == native == keys
+        assert len(r.final_main_scan) == 1

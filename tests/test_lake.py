@@ -14,7 +14,7 @@ import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.expr import and_, col, like, to_arrow, to_spark
+from repro.core.expr import and_, col, like, not_, to_spark
 from repro.core.stats import ColStats
 from repro.lake import LakeTable, Manifest
 from repro.lake.manifest import PartitionMeta
@@ -314,7 +314,7 @@ class TestReader:
     def test_read_fetches_only_columns_and_rows_asked(self, spark, small_table):
         p = small_table.manifest.partitions[2]
         pred = and_(col("val") > 150.0, like(col("name"), "row03%"))
-        got = small_table.read_partition_pandas(p, ["id", "d"], to_arrow(pred))
+        got = small_table.read_partition_pandas(p, ["id", "d"], pred)
         want = (
             small_table.scan(spark, [p]).filter(to_spark(pred))
             .select("id", "d").toPandas()
@@ -324,6 +324,21 @@ class TestReader:
         assert sorted(got.itertuples(index=False)) == sorted(
             want.itertuples(index=False)
         )
+
+    def test_read_keeps_nan_rows_parquet_stats_leave_out(self, tmp_path):
+        """The file's min/max for ``a`` is [-2, -2]: Arrow leaves NaN
+        out.  A filter pushed into the read would take ``a < b`` as
+        always TRUE there and skip the row group, but on the NaN row
+        ``NOT (a < b)`` is TRUE in Spark's order."""
+        t = LakeTable.write(
+            pa.table({"a": [-2.0, math.nan], "b": pa.array([82, 94], pa.int64())}),
+            tmp_path / "t", n_partitions=1,
+        )
+        p = t.manifest.partitions[0]
+        stats = pq.ParquetFile(p.path).metadata.row_group(0).column(0).statistics
+        assert (stats.min, stats.max) == (-2.0, -2.0)
+        got = t.read_partition_pandas(p, ["b"], not_(col("a") < col("b")))
+        assert got["b"].tolist() == [94]
 
     def test_read_dates_compare_with_stats(self, small_table):
         p = small_table.manifest.partitions[0]
