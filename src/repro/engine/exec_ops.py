@@ -4,11 +4,12 @@ The paper's runtime techniques (top-k boundary pruning, join pruning)
 exchange information sideways between operators mid-query — not
 expressible inside Catalyst from Python (see DESIGN.md).  So
 ``repro.core.flow.run_pruning_flow`` makes every pruning decision, and
-:func:`execute` plans the query in Spark over the scan sets it chose.
+:func:`execute` plans the query in Spark over the scan sets it chose
+(``LakeTable.scan``: the table's cached relation, filtered by file name).
 ``filtered_scan``, ``topk_execute`` and ``pruned_hash_join`` are thin
 entry points for one query shape each: build a ``QuerySpec``, run the
 flow, execute it, and return the DataFrame with the stage result the
-caller inspects.  The pruning decision itself starts no Spark job.
+caller inspects.  Only the caller's action starts a Spark job.
 """
 from __future__ import annotations
 

@@ -18,13 +18,14 @@ Each slice becomes one ``data/part-NNNNN.parquet`` file, dictionary-
 encoded where Spark's own writer would be (see :func:`_dictionary_pays`),
 and its per-column min/max/null-count statistics come from the in-memory
 slice with Spark's aggregate semantics (see :func:`_col_stats`).  Spark
-reads the files with the Spark schema stored in the manifest.
+reads them through one cached relation per table (:meth:`LakeTable.scan`).
 """
 from __future__ import annotations
 
 import json
 import math
 import shutil
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
@@ -145,6 +146,7 @@ class LakeTable:
     def __init__(self, path: str | Path, manifest: Manifest):
         self.path = Path(path)
         self.manifest = manifest
+        self._relation: Optional[DataFrame] = None  # see scan
 
     # -- construction ------------------------------------------------------
 
@@ -204,18 +206,27 @@ class LakeTable:
 
     # -- reading -----------------------------------------------------------
 
-    @property
+    @cached_property
     def schema(self) -> T.StructType:
         return T.StructType.fromJson(json.loads(self.manifest.schema_json))
 
     def scan(
         self, spark: SparkSession, metas: Iterable[PartitionMeta]
     ) -> DataFrame:
-        """Spark DataFrame over exactly the given scan set (empty-safe)."""
-        paths = [m.path for m in metas]
-        if not paths:
-            return spark.createDataFrame([], self.schema)
-        return spark.read.schema(self.schema).parquet(*paths)
+        """Spark DataFrame over exactly the scan set ``metas`` (a subset of
+        this table's partitions): the table's one relation over ``data/``
+        per session, filtered by file name as Spark lists the files.  New
+        column ids on every call keep a self-join of two scans unambiguous."""
+        if self._relation is None or self._relation.sparkSession is not spark:
+            self._relation = spark.read.schema(self.schema).parquet(str(self.path / "data"))
+        df = self._relation
+        names = [Path(m.path).name for m in metas]
+        if len(names) < self.manifest.n_partitions:  # over all files the filter costs 2x
+            # SQL text: Column.isin makes two py4j calls per name.  The
+            # writer's part-NNNNN.parquet names need no quoting.
+            listed = ", ".join(f"'{n}'" for n in names)
+            df = df.filter(f"_metadata.file_name IN ({listed})" if names else "false")
+        return df.toDF(*df.columns)
 
     def full(self, spark: SparkSession) -> DataFrame:
         """Unpruned scan over every micro-partition."""
@@ -245,12 +256,3 @@ class LakeTable:
         ]
         rows = pq.read_table(meta.path, columns=read).filter(to_arrow(filter))
         return (rows if columns is None else rows.select(columns)).to_pandas()
-
-    def to_pandas(self) -> pd.DataFrame:
-        """Whole table as pandas (oracle inputs at test scale)."""
-        frames = [self.read_partition_pandas(m) for m in self.manifest.partitions]
-        if not frames:
-            return pd.DataFrame(
-                columns=[f.name for f in self.schema.fields]
-            )
-        return pd.concat(frames, ignore_index=True)

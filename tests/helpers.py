@@ -1,7 +1,8 @@
 """Shared test utilities.
 
 ``ps``/``meta`` build partition metadata by hand for metadata-only
-tests; ``partition_pandas`` micro-partitions a pandas frame purely in
+tests; ``lake_pandas`` reads a lake table whole for the DuckDB oracles;
+``partition_pandas`` micro-partitions a pandas frame purely in
 Python (stats computed with pandas) so pruning soundness can be
 property-tested against brute-force row evaluation without Spark.
 Rows are evaluated with the worker's evaluator, ``to_arrow``, on the
@@ -25,6 +26,7 @@ from repro.core.filter_pruning import (
     PARTIALLY_MATCHING,
 )
 from repro.core.stats import ColStats, PartitionStats
+from repro.lake import LakeTable
 from repro.lake.manifest import PartitionMeta
 
 
@@ -109,6 +111,15 @@ def reader_for(frames: Dict[int, pd.DataFrame]):
         return t.select(columns).to_pandas()
 
     return read
+
+
+def lake_pandas(table: LakeTable) -> pd.DataFrame:
+    """A whole lake table as pandas, read partition by partition on the
+    worker read path (oracle inputs at test scale)."""
+    frames = [table.read_partition_pandas(m) for m in table.manifest.partitions]
+    if not frames:
+        return pd.DataFrame(columns=[f.name for f in table.schema.fields])
+    return pd.concat(frames, ignore_index=True)
 
 
 def duckdb_table(tbl: pa.Table) -> duckdb.DuckDBPyConnection:

@@ -4,9 +4,11 @@
 ``perfbench.tracing.TARGETS`` and calls the ``exec_ops`` entry points
 with fixed keywords.  A renamed target would otherwise only show up as
 "missing" in a traced benchmark run, and a dropped keyword only when
-the ``spark_exec`` workload runs.  Its ``lake.read`` layer counts calls
-of ``LakeTable.read_partition_pandas``, so the pruning flow's worker
-reads must all go through that one method.
+the ``spark_exec`` workload runs.  The benchmark's ``lake.read`` layer
+counts calls of ``LakeTable.read_partition_pandas``, so the pruning
+flow's worker reads must all go through that one method, and
+``spark.paths_per_query`` reads the scan set from ``LakeTable.scan``'s
+arguments.
 """
 import ast
 import importlib
@@ -66,6 +68,17 @@ def test_workloads_call_all_three_entry_points():
 def test_exec_ops_accepts_benchmark_call(name, n_pos, keywords):
     sig = inspect.signature(getattr(exec_ops, name))
     sig.bind(*[None] * n_pos, **{k: None for k in keywords})
+
+
+def test_scan_set_reaches_paths_reader():
+    """``spark.paths_per_query`` counts ``LakeTable.scan``'s scan set,
+    which the count reader finds at position 2 or as ``metas``; a
+    renamed or moved parameter would read as 0 paths, not as missing."""
+    sig = inspect.signature(LakeTable.scan)
+    assert list(sig.parameters) == ["self", "spark", "metas"]
+    metas = [None] * 3
+    for b in (sig.bind("t", "s", metas), sig.bind("t", "s", metas=metas)):
+        assert tracing._paths(b.args, b.kwargs, None) == {"paths": 3}
 
 
 @pytest.fixture

@@ -1,14 +1,24 @@
 """End-to-end operator tests: pruned plans must produce the same results
 as unpruned plans — checked against the DuckDB oracle over full data, or
-against Spark's native plan over every partition (``LakeTable.full``)."""
+against Spark's native plan over every partition.  The executed plan
+must also read exactly the files the pruning decision kept."""
 import datetime as dt
+import os
+import uuid
 
+import pyarrow as pa
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import query as q
 from repro.core.expr import and_, between, col, like, to_spark
-from repro.engine.exec_ops import filtered_scan, pruned_hash_join, topk_execute
+from repro.core.flow import run_pruning_flow
+from repro.engine.exec_ops import execute, filtered_scan, pruned_hash_join, topk_execute
+from repro.lake import LakeTable
 from repro.oracle import assert_equivalent
+from repro.workload.tables import build_events
+
+from .helpers import lake_pandas
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +28,7 @@ def events(prod_lake):
 
 @pytest.fixture(scope="module")
 def events_pdf(events):
-    return events.to_pandas()
+    return lake_pandas(events)
 
 
 class TestFilteredScan:
@@ -121,10 +131,13 @@ class TestTopKExecute:
         assert va == pytest.approx(vb)
 
 
-def native_join(spark, probe, build, key, build_pred):
-    """The unpruned equi-join: every partition on both sides."""
-    p, b = probe.full(spark), build.full(spark).filter(to_spark(build_pred))
-    return p.join(b, on=p[key] == b[key], how="inner")
+def native_join(spark, probe, build, probe_key, build_key, build_pred):
+    """The unpruned equi-join on Spark's own reads of both directories."""
+    p = spark.read.parquet(str(probe.path / "data"))
+    b = spark.read.parquet(str(build.path / "data"))
+    if build_pred is not None:
+        b = b.filter(to_spark(build_pred))
+    return p.join(b, on=p[probe_key] == b[build_key], how="inner")
 
 
 class TestPrunedHashJoin:
@@ -137,7 +150,7 @@ class TestPrunedHashJoin:
         )
         assert stats["probe_after"] < stats["probe_before"]
         unpruned = native_join(
-            spark, events, incidents, "event_id", col("severity") >= 3
+            spark, events, incidents, "event_id", "event_id", col("severity") >= 3
         )
         assert joined.count() == unpruned.count()
 
@@ -155,8 +168,8 @@ class TestPrunedHashJoin:
             out,
             "SELECT amount, severity FROM events e JOIN incidents i "
             "ON e.event_id = i.event_id WHERE i.severity >= 4",
-            events=events.to_pandas(),
-            incidents=incidents.to_pandas(),
+            events=lake_pandas(events),
+            incidents=lake_pandas(incidents),
         )
 
     def test_empty_build_side(self, spark, prod_lake):
@@ -177,27 +190,155 @@ class TestPrunedHashJoin:
             build_pred=between(col("user_id"), 100, 160),
         )
         unpruned = native_join(
-            spark, events, users, "user_id", between(col("user_id"), 100, 160)
+            spark, events, users, "user_id", "user_id",
+            between(col("user_id"), 100, 160),
         )
         assert joined.count() == unpruned.count()
+
+    def test_unpruned_self_join_matches_native(self, spark, prod_lake):
+        """Nothing is pruned on either side, so both come from the one
+        cached relation of ``tiny``."""
+        tiny = prod_lake["tiny"]
+        joined, stats = pruned_hash_join(
+            spark, tiny, tiny, probe_key="status_id", build_key="status_id"
+        )
+        n = tiny.manifest.n_partitions
+        assert stats == {"probe_before": n, "probe_after": n, "build_partitions": n}
+        native = native_join(spark, tiny, tiny, "status_id", "status_id", None)
+        got, want = joined.collect(), native.collect()
+        assert len(got) == tiny.manifest.total_rows
+        assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+
+    def test_self_join_on_two_columns_matches_native(self, spark, tmp_path):
+        """Scans of one cached relation must not share column ids, or
+        Spark rejects ``left[a] == right[b]`` as an ambiguous self-join.
+        ``a`` = ``b`` prunes the probe side to ``a`` < 16; ``b`` = ``a``
+        prunes nothing, so both sides are the whole relation."""
+        t = LakeTable.write(
+            pa.table({
+                "a": pa.array(range(64), pa.int64()),
+                "b": pa.array([i % 8 for i in range(64)], pa.int64()),
+            }),
+            tmp_path / "t", n_partitions=4, cluster_by=["a"],
+        )
+        for probe_key, build_key, probe_after in (("a", "b", 1), ("b", "a", 4)):
+            joined, stats = pruned_hash_join(
+                spark, t, t, probe_key=probe_key, build_key=build_key
+            )
+            assert stats["probe_after"] == probe_after
+            native = native_join(spark, t, t, probe_key, build_key, None)
+            got, want = joined.collect(), native.collect()
+            assert len(got) == 64
+            assert sorted(map(tuple, got)) == sorted(map(tuple, want))
 
     def test_decision_starts_no_spark_job(self, spark, prod_lake):
         """The join summary comes from worker reads, not a Spark job; the
         first job is the collect."""
-        sc = spark.sparkContext
-        group = "pruned-hash-join-decision"
-        sc.setJobGroup(group, "pruned_hash_join before collect")
-        try:
-            joined, _ = pruned_hash_join(
+        before, after = jobs_before_and_after_collect(
+            spark,
+            lambda: pruned_hash_join(
                 spark, prod_lake["events"], prod_lake["incidents"],
                 probe_key="event_id", build_key="event_id",
                 build_pred=col("severity") >= 3,
-            )
-            before = list(sc.statusTracker().getJobIdsForGroup(group))
-            joined.collect()
-            after = list(sc.statusTracker().getJobIdsForGroup(group))
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-            sc.setLocalProperty("spark.job.description", None)
+            )[0],
+        )
         assert before == []
         assert after, "the collect must run under the job group"
+
+    def test_unpruned_wide_scan_starts_no_spark_job(self, spark, tmp_path):
+        """Spark lists more than 32 explicit paths with a job; the table's
+        one relation lists its directory on the driver.  The table is
+        new, so its relation is created inside the job group."""
+        events = build_events(tmp_path / "events")
+        assert events.manifest.n_partitions > 32
+        before, after = jobs_before_and_after_collect(
+            spark, lambda: filtered_scan(spark, events, None)[0]
+        )
+        assert before == []
+        assert after, "the collect must run under the job group"
+
+
+def jobs_before_and_after_collect(spark, build):
+    """Spark job ids started by ``build()`` (which returns a DataFrame),
+    and by ``build()`` plus collecting its DataFrame."""
+    sc = spark.sparkContext
+    group = f"decision-before-collect-{uuid.uuid4()}"
+    sc.setJobGroup(group, "DataFrame built, not yet collected")
+    try:
+        df = build()
+        before = list(sc.statusTracker().getJobIdsForGroup(group))
+        df.collect()
+        after = list(sc.statusTracker().getJobIdsForGroup(group))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    return before, after
+
+
+def executed_scans(df):
+    """(table data directory, numFiles, filesSize, DataFilters) of every
+    file scan in ``df``'s executed plan, into adaptive query stages (a
+    reused exchange scans nothing again)."""
+    out, todo = [], [df._jdf.queryExecution().executedPlan()]
+    while todo:
+        node = todo.pop()
+        kind = node.getClass().getSimpleName()
+        if kind == "FileSourceScanExec":
+            m = node.metrics()
+            out.append((
+                node.relation().location().rootPaths().head().toUri().getPath(),
+                m.apply("numFiles").value(),
+                m.apply("filesSize").value(),
+                node.metadata().apply("DataFilters"),
+            ))
+        elif kind == "AdaptiveSparkPlanExec":
+            todo.append(node.executedPlan())
+        elif kind.endswith("QueryStageExec"):
+            todo.append(node.plan())
+        it = node.children().iterator()
+        while it.hasNext():
+            todo.append(it.next())
+    return sorted(out)
+
+
+def test_executed_scans_read_exactly_the_decision(spark, prod_lake):
+    """After the collect, each file scan Spark ran opened exactly the
+    files of the flow's scan set for that table, and it filters on
+    ``_metadata.file_name`` only when the flow pruned that table."""
+    tables = {n: prod_lake[n] for n in ("events", "incidents")}
+    specs = {
+        "pruned filter": q.QuerySpec(
+            qtype=q.SELECT, table="events", pred=col("ts") >= dt.date(2025, 1, 1)
+        ),
+        "top-k": q.QuerySpec(
+            qtype=q.TOPK, table="events", k=10, order_col="ts", desc=True
+        ),
+        "join": q.QuerySpec(
+            qtype=q.SELECT, table="events",
+            join=q.JoinSpec("incidents", "event_id", "event_id", col("severity") >= 3),
+        ),
+    }
+    pruned = set()
+    for case, spec in specs.items():
+        res = run_pruning_flow(spec, tables)
+        df = execute(spark, tables, res)
+        df.collect()
+        decided = [(spec.table, res.final_main_scan)]
+        if spec.join is not None:
+            decided.append((spec.join.build_table, res.final_build_scan))
+        want = sorted(
+            (
+                str(tables[name].path / "data"),
+                len(metas),
+                sum(os.path.getsize(m.path) for m in metas),
+                len(metas) < tables[name].manifest.n_partitions,
+            )
+            for name, metas in decided
+        )
+        got = [
+            (path.rstrip("/"), n, size, "file_name" in filters)
+            for path, n, size, filters in executed_scans(df)
+        ]
+        assert got == want, case
+        pruned |= {w[3] for w in want}
+    assert pruned == {True, False}, "a pruned and an unpruned scan were checked"

@@ -20,6 +20,8 @@ from repro.lake import LakeTable, Manifest
 from repro.lake.manifest import PartitionMeta
 from repro.core.stats import PartitionStats
 
+from .helpers import lake_pandas
+
 
 @pytest.fixture(scope="module")
 def small_table(spark, tmp_path_factory):
@@ -303,6 +305,33 @@ class TestReader:
         df = small_table.scan(spark, [])
         assert df.count() == 0
         assert set(df.columns) == {"id", "val", "name", "d"}
+        # the empty file-name filter plans no file scan at all
+        assert "FileScan" not in df._jdf.queryExecution().executedPlan().toString()
+
+    def test_relation_cached_per_instance_and_session(self, spark, small_table):
+        assert small_table.schema is small_table.schema
+        small_table.full(spark)
+        relation = small_table._relation
+        small_table.scan(spark, small_table.manifest.partitions[:1])
+        assert small_table._relation is relation
+        reloaded = LakeTable.load(small_table.path)
+        reloaded.full(spark)
+        assert reloaded._relation is not relation
+        other = spark.newSession()
+        df = small_table.scan(other, small_table.manifest.partitions[:1])
+        assert df.sparkSession is other
+        assert df.count() == small_table.manifest.partitions[0].row_count
+
+    def test_rewrite_returns_table_that_scans_new_files(self, spark, tmp_path):
+        def ids(lo, hi):
+            return pa.table({"a": pa.array(range(lo, hi), pa.int64())})
+
+        old = LakeTable.write(ids(0, 100), tmp_path / "t", n_partitions=4, cluster_by=["a"])
+        assert old.full(spark).count() == 100
+        new = LakeTable.write(ids(1000, 1030), tmp_path / "t", n_partitions=2, cluster_by=["a"])
+        assert new.full(spark).count() == 30
+        last = new.scan(spark, new.manifest.partitions[1:]).collect()
+        assert sorted(r.a for r in last) == list(range(1015, 1030))
 
     def test_read_partition_pandas(self, small_table):
         p = small_table.manifest.partitions[0]
@@ -348,7 +377,7 @@ class TestReader:
         assert (min(d), max(d)) == (cs.min, cs.max)
 
     def test_to_pandas_whole_table(self, small_table):
-        pdf = small_table.to_pandas()
+        pdf = lake_pandas(small_table)
         assert len(pdf) == 1000
         assert sorted(pdf["id"]) == list(range(1, 1001))
 

@@ -9,6 +9,8 @@ from repro.core.flow import run_pruning_flow
 from repro.oracle import assert_equivalent
 from repro.workload.tpch import tpch_queries
 
+from .helpers import lake_pandas
+
 
 @pytest.fixture(scope="module")
 def queries():
@@ -108,7 +110,7 @@ class TestCorrectness:
             "FROM lineitem WHERE l_shipdate >= TIMESTAMP '1994-01-01' "
             "AND l_shipdate < TIMESTAMP '1995-01-01' "
             "AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24",
-            lineitem=li.to_pandas(),
+            lineitem=lake_pandas(li),
         )
 
     def test_q14_oracle(self, spark, tpch_lake, queries):
@@ -125,7 +127,7 @@ class TestCorrectness:
             "SELECT count(*) AS n, sum(l_extendedprice) AS s FROM lineitem "
             "WHERE l_shipdate >= TIMESTAMP '1995-09-01' "
             "AND l_shipdate < TIMESTAMP '1995-10-01'",
-            lineitem=li.to_pandas(),
+            lineitem=lake_pandas(li),
         )
 
     def test_q19_join_oracle(self, spark, tpch_lake, queries):
@@ -143,6 +145,6 @@ class TestCorrectness:
             "ON l.l_partkey = p.p_partkey "
             "WHERE l.l_quantity BETWEEN 1 AND 11 "
             "AND p.p_brand = 'Brand#12' AND p.p_size BETWEEN 1 AND 5",
-            lineitem=li.to_pandas(),
-            part=part.to_pandas(),
+            lineitem=lake_pandas(li),
+            part=lake_pandas(part),
         )
