@@ -10,9 +10,9 @@ One AST drives everything the paper's pruning stack needs:
   (§4.2) iff the set is exactly ``{'T'}``;
 * :func:`invert`      — the paper's inverted predicate for the second
   LIMIT-pruning pass;
-* :func:`to_spark`    — compile to a PySpark ``Column`` for execution;
+* :func:`to_spark`    — compile to Spark SQL text for execution;
 * :func:`to_sql`      — compile to SQL text (DuckDB oracle, workload
-  classifier);
+  classifier), sharing the node walk with :func:`to_spark`;
 * :func:`to_arrow`    — compile to an Arrow compute expression with SQL
   three-valued-logic semantics and Spark's NaN order, which the
   simulated warehouse worker runs on the rows it reads.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Any, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pyarrow as pa
@@ -554,8 +555,8 @@ def invert(e: Expr) -> Expr:
     NOTE: over rows this is SQL NOT — a row where ``e`` is NULL is NULL
     under ``invert(e)`` too.  The fully-matching test must therefore use
     :func:`always_match` (or additionally require null-freeness) rather
-    than "inverted pass yields NEVER" alone; see
-    ``limit_pruning.fully_matching_partitions``.
+    than "inverted pass yields NEVER" alone; see the test-side reference
+    ``tests/helpers.fully_matching_by_inverted_pass``.
     """
     if isinstance(e, Cmp):
         return Cmp(_CMP_INVERSE[e.op], e.left, e.right)
@@ -571,68 +572,31 @@ def invert(e: Expr) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# Backend 3 — PySpark Column
+# Backend 3 — SQL text: Spark SQL (execution), DuckDB (oracle, classifier)
 # --------------------------------------------------------------------------
 
 
-def to_spark(e: Expr):
-    """Compile to a PySpark ``Column`` (imported lazily so the pure
-    metadata path never needs a JVM)."""
-    from pyspark.sql import functions as F
-
-    if isinstance(e, Col):
-        return F.col(e.name)
-    if isinstance(e, Lit):
-        return F.lit(e.value)
-    if isinstance(e, Arith):
-        l, r = to_spark(e.left), to_spark(e.right)
-        return {"+": l + r, "-": l - r, "*": l * r, "/": l / r}[e.op]
-    if isinstance(e, Cmp):
-        l, r = to_spark(e.left), to_spark(e.right)
-        return {
-            "<": l < r,
-            "<=": l <= r,
-            ">": l > r,
-            ">=": l >= r,
-            "=": l == r,
-            "!=": l != r,
-        }[e.op]
-    if isinstance(e, And):
-        out = to_spark(e.args[0])
-        for a in e.args[1:]:
-            out = out & to_spark(a)
-        return out
-    if isinstance(e, Or):
-        out = to_spark(e.args[0])
-        for a in e.args[1:]:
-            out = out | to_spark(a)
-        return out
-    if isinstance(e, Not):
-        return ~to_spark(e.arg)
-    if isinstance(e, If):
-        return F.when(to_spark(e.cond), to_spark(e.then)).otherwise(
-            to_spark(e.otherwise)
-        )
-    if isinstance(e, Like):
-        return to_spark(e.arg).like(e.pattern)
-    if isinstance(e, StartsWith):
-        return to_spark(e.arg).startswith(e.prefix)
-    if isinstance(e, InList):
-        return to_spark(e.arg).isin(list(e.values))
-    if isinstance(e, IsNull):
-        return to_spark(e.arg).isNull()
-    raise TypeError(f"cannot compile {e!r}")
+def to_spark(e: Expr) -> str:
+    """Compile to Spark SQL text, for ``spark.sql`` statements and
+    ``DataFrame.filter``.  Spark's dialect differs from :func:`to_sql` in
+    four places: identifiers are backticked, a finite float is a DOUBLE
+    literal (``900.0D``; a plain ``900.0`` is a DECIMAL in Spark),
+    string literals escape ``\\`` and ``'`` with a backslash, and
+    STARTSWITH is Spark's ``startswith`` function."""
+    return _render(e, spark=True)
 
 
-# --------------------------------------------------------------------------
-# Backend 4 — SQL text (DuckDB oracle / classifier corpus)
-# --------------------------------------------------------------------------
+def to_sql(e: Expr) -> str:
+    """Compile to SQL text in a dialect DuckDB and Spark SQL both accept."""
+    return _render(e, spark=False)
 
 
-def _sql_lit(v: Optional[Value]) -> str:
+def _sql_lit(v: Optional[Value], spark: bool = False) -> str:
     if v is None:
         return "NULL"
     if isinstance(v, str):
+        if spark:
+            return "'" + v.replace("\\", "\\\\").replace("'", "\\'") + "'"
         return "'" + v.replace("'", "''") + "'"
     if isinstance(v, _dt.datetime):
         return f"TIMESTAMP '{v.isoformat(sep=' ')}'"
@@ -640,49 +604,60 @@ def _sql_lit(v: Optional[Value]) -> str:
         return f"DATE '{v.isoformat()}'"
     if isinstance(v, bool):
         return "TRUE" if v else "FALSE"
-    if isinstance(v, float) and not math.isfinite(v):
-        word = "NaN" if math.isnan(v) else ("Infinity" if v > 0 else "-Infinity")
-        return f"CAST('{word}' AS DOUBLE)"
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            word = "NaN" if math.isnan(v) else ("Infinity" if v > 0 else "-Infinity")
+            return f"CAST('{word}' AS DOUBLE)"
+        return repr(v) + ("D" if spark else "")
+    if isinstance(v, Decimal):
+        # Exact, and DECIMAL in both dialects: a bare ``2`` would be an
+        # INT, and ``2BD`` is Spark's alone.
+        _, digits, exp = v.as_tuple()
+        if not isinstance(exp, int):
+            raise ValueError(f"no SQL literal for {v!r}")
+        scale = max(-exp, 0)
+        precision = max(len(digits) + max(exp, 0), scale, 1)
+        return f"CAST('{v:f}' AS DECIMAL({precision}, {scale}))"
     return repr(v)
 
 
-def to_sql(e: Expr) -> str:
-    """Compile to SQL text in a dialect DuckDB and Spark SQL both accept."""
+def _render(e: Expr, spark: bool) -> str:
+    def r(x: Expr) -> str:
+        return _render(x, spark)
+
     if isinstance(e, Col):
-        return e.name
+        return "`" + e.name.replace("`", "``") + "`" if spark else e.name
     if isinstance(e, Lit):
-        return _sql_lit(e.value)
-    if isinstance(e, Arith):
-        return f"({to_sql(e.left)} {e.op} {to_sql(e.right)})"
-    if isinstance(e, Cmp):
-        op = {"=": "=", "!=": "<>"}.get(e.op, e.op)
-        return f"({to_sql(e.left)} {op} {to_sql(e.right)})"
+        return _sql_lit(e.value, spark)
+    if isinstance(e, (Arith, Cmp)):
+        op = "<>" if e.op == "!=" else e.op
+        return f"({r(e.left)} {op} {r(e.right)})"
     if isinstance(e, And):
-        return "(" + " AND ".join(to_sql(a) for a in e.args) + ")"
+        return "(" + " AND ".join(map(r, e.args)) + ")"
     if isinstance(e, Or):
-        return "(" + " OR ".join(to_sql(a) for a in e.args) + ")"
+        return "(" + " OR ".join(map(r, e.args)) + ")"
     if isinstance(e, Not):
-        return f"(NOT {to_sql(e.arg)})"
+        return f"(NOT {r(e.arg)})"
     if isinstance(e, If):
-        return (
-            f"(CASE WHEN {to_sql(e.cond)} THEN {to_sql(e.then)} "
-            f"ELSE {to_sql(e.otherwise)} END)"
-        )
+        return f"(CASE WHEN {r(e.cond)} THEN {r(e.then)} ELSE {r(e.otherwise)} END)"
     if isinstance(e, Like):
-        return f"({to_sql(e.arg)} LIKE {_sql_lit(e.pattern)})"
+        return f"({r(e.arg)} LIKE {_sql_lit(e.pattern, spark)})"
     if isinstance(e, StartsWith):
+        if spark:
+            return f"startswith({r(e.arg)}, {_sql_lit(e.prefix, spark)})"
         if any(c in e.prefix for c in "%_\\"):
             raise ValueError("prefix with wildcard chars not supported in SQL")
-        return f"({to_sql(e.arg)} LIKE {_sql_lit(e.prefix + '%')})"
+        return f"({r(e.arg)} LIKE {_sql_lit(e.prefix + '%')})"
     if isinstance(e, InList):
-        return f"({to_sql(e.arg)} IN (" + ", ".join(map(_sql_lit, e.values)) + "))"
+        listed = ", ".join(_sql_lit(v, spark) for v in e.values)
+        return f"({r(e.arg)} IN ({listed}))"
     if isinstance(e, IsNull):
-        return f"({to_sql(e.arg)} IS NULL)"
+        return f"({r(e.arg)} IS NULL)"
     raise TypeError(f"cannot compile {e!r}")
 
 
 # --------------------------------------------------------------------------
-# Backend 5 — Arrow compute expression (the simulated warehouse worker)
+# Backend 4 — Arrow compute expression (the simulated warehouse worker)
 # --------------------------------------------------------------------------
 
 

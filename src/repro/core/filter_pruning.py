@@ -56,11 +56,6 @@ class PruneResult:
     def n_total(self) -> int:
         return len(self.retained) + len(self.pruned)
 
-    @property
-    def pruning_ratio(self) -> float:
-        """Fraction of the original scan set removed (paper's metric)."""
-        return len(self.pruned) / self.n_total if self.n_total else 0.0
-
 
 def prune_scan_set(partitions: Sequence, pred: Optional[Expr]) -> PruneResult:
     """Prune a scan set (list of ``PartitionMeta``) against a predicate."""

@@ -82,13 +82,6 @@ class RangeSummary:
     def is_empty(self) -> bool:
         return not self.ranges
 
-    def may_contain(self, v) -> bool:
-        if v is None or self.is_empty:
-            return False
-        los = [r[0] for r in self.ranges]
-        i = bisect.bisect_right(los, v) - 1
-        return i >= 0 and v <= self.ranges[i][1]
-
     def overlaps_interval(self, lo, hi) -> bool:
         """Does any summary range intersect the closed [lo, hi]?
 

@@ -1,7 +1,8 @@
 """LIMIT pruning (§4): scan only enough fully-matching partitions.
 
-If the fully-matching partitions (identified by extending filter pruning
-with a second, inverted-predicate pass, §4.2) together hold at least
+If the fully-matching partitions (those filter pruning classified as
+FULLY_MATCHING; §4.2 finds them with a second, inverted-predicate pass,
+which ``tests/test_expr_invert.py`` shows equivalent) together hold at least
 ``k`` rows, the scan set shrinks to the minimal number of fully-matching
 partitions covering ``k`` — globally IO-optimal for supported queries.
 Otherwise the scan set is merely *reordered* to start with
@@ -12,11 +13,9 @@ Outcome categories mirror Table 2 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
-from .expr import Expr, can_match, columns, eval3, invert
 from .filter_pruning import PruneResult
-from .stats import PartitionStats
 
 # Table 2 outcome categories (NO_FULLY_MATCHING is folded into
 # "unsupported shapes" when reporting, matching the paper's text).
@@ -25,41 +24,6 @@ UNSUPPORTED_SHAPE = "unsupported_shape"
 NO_FULLY_MATCHING = "no_fully_matching"
 PRUNED_TO_1 = "pruned_to_1"
 PRUNED_TO_GT1 = "pruned_to_gt1"
-
-
-def fully_matching_by_inverted_pass(
-    partitions: Sequence, pred: Expr
-) -> List:
-    """§4.2 verbatim: a second pruning pass with the inverted predicate.
-
-    A partition is fully-matching iff the inverted predicate provably
-    matches *no* row.  SQL's three-valued logic adds one guard the paper
-    leaves implicit: a row where the predicate is NULL fails both the
-    predicate and its inversion, so null-freeness of the referenced
-    columns must be required on top of the inverted-pass result.
-    """
-    inv = invert(pred)
-    cols = columns(pred)
-    out = []
-    for p in partitions:
-        if p.stats.row_count == 0:
-            continue
-        if _has_nulls(p.stats, cols):
-            continue
-        try:
-            if not can_match(eval3(inv, p.stats)):
-                out.append(p)
-        except (TypeError, ValueError):
-            continue
-    return out
-
-
-def _has_nulls(stats: PartitionStats, cols) -> bool:
-    for c in cols:
-        cs = stats.col(c)
-        if cs is None or cs.null_count > 0:
-            return True
-    return False
 
 
 @dataclass
@@ -77,12 +41,6 @@ class LimitPruneOutcome:
         if self.category == NO_FULLY_MATCHING:
             return UNSUPPORTED_SHAPE
         return self.category
-
-    @property
-    def pruning_ratio(self) -> float:
-        """Partitions removed relative to the post-filter scan set."""
-        before = len(self.filter_result.retained)
-        return 1.0 - len(self.scan_set) / before if before else 0.0
 
 
 def prune_for_limit(

@@ -97,10 +97,6 @@ class QuerySpec:
     limit_shape_supported: bool = True
 
     @property
-    def has_limit(self) -> bool:
-        return self.k is not None
-
-    @property
     def is_topk(self) -> bool:
         return self.qtype in (TOPK, TOPK_GROUP_KEY, TOPK_GROUP_AGG)
 

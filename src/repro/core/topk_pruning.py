@@ -12,7 +12,12 @@ caller-supplied ``reader(meta, columns, filter)`` that returns a pandas
 frame of the partition's rows where predicate ``filter`` is TRUE
 (``None``: every row), restricted to ``columns`` —
 ``LakeTable.read_partition_pandas`` on a lake.  The loop asks only for
-the order column, filtered by the query predicate.  The final query result is
+the order column's non-NULL values, filtered by the query predicate.
+
+Stats, boundaries and values compare in Spark's order
+(:func:`spark_order`): NaN is greater than every other double and equal
+to itself, so a partition whose max is NaN holds the best DESC value.
+The final query result is
 produced by Spark over the retained scan set and oracle-checked in tests
 (pruning preserves the top-k *value multiset* — SQL top-k is
 nondeterministic among ties anyway).
@@ -24,8 +29,15 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .expr import Expr
+from .expr import Expr, and_, col, isnull, not_
 from .stats import PartitionStats
+
+
+def spark_order(v: Any) -> Tuple[bool, Any]:
+    """Sort key of a non-NULL value in Spark's order: NaN above every
+    other double (Python's ``<`` is False both ways on NaN)."""
+    nan = isinstance(v, float) and v != v
+    return (nan, 0.0 if nan else v)
 
 
 # -- supported plan shapes (§5.2, Fig. 7) -----------------------------------
@@ -99,15 +111,14 @@ def order_partitions(
     if strategy != "sort":
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    def key(p):
+    def best(p):
         cs = p.stats.col(order_col)
-        v = None if cs is None else (cs.max if desc else cs.min)
-        return (v is None, None) if v is None else (False, v)
+        return None if cs is None else (cs.max if desc else cs.min)
 
     # Two-pass: stats-less partitions last, then by boundary tightness.
-    with_stats = [p for p in parts if not key(p)[0]]
-    without = [p for p in parts if key(p)[0]]
-    with_stats.sort(key=lambda p: key(p)[1], reverse=desc)
+    with_stats = [p for p in parts if best(p) is not None]
+    without = [p for p in parts if best(p) is None]
+    with_stats.sort(key=lambda p: spark_order(best(p)), reverse=desc)
     return with_stats + without
 
 
@@ -141,7 +152,7 @@ def init_boundary(
         cs = p.stats.col(order_col)
         if cs is not None and not cs.all_null:
             extremes.append(cs.max if desc else cs.min)
-    extremes.sort(reverse=desc)
+    extremes.sort(key=spark_order, reverse=desc)
     if len(extremes) >= k:
         cand.append(extremes[k - 1])
 
@@ -154,7 +165,7 @@ def init_boundary(
         if nn_rows <= 0:
             continue
         ranked.append(((cs.min if desc else cs.max), nn_rows))
-    ranked.sort(key=lambda t: t[0], reverse=desc)
+    ranked.sort(key=lambda t: spark_order(t[0]), reverse=desc)
     cum = 0
     for bound, rows in ranked:
         cum += rows
@@ -164,7 +175,7 @@ def init_boundary(
 
     if not cand:
         return None
-    return max(cand) if desc else min(cand)
+    return (max if desc else min)(cand, key=spark_order)
 
 
 # -- the runtime scan -------------------------------------------------------
@@ -217,11 +228,12 @@ def _partition_prunable(
     if cs.all_null:
         return heap_covers_boundary
     try:
-        best = cs.max if desc else cs.min
-        if (best < boundary) if desc else (best > boundary):
+        best = spark_order(cs.max if desc else cs.min)
+        bound = spark_order(boundary)
+        if (best < bound) if desc else (best > bound):
             return True
         if heap_covers_boundary:
-            return (best <= boundary) if desc else (best >= boundary)
+            return (best <= bound) if desc else (best >= bound)
         return False
     except TypeError:
         return False
@@ -250,31 +262,37 @@ def topk_scan(
         partitions, order_col, desc=desc, strategy=strategy, seed=seed
     )
     best = heapq.nlargest if desc else heapq.nsmallest
+    # NULLs sort last either way, so only non-NULL values enter the heap;
+    # NaN does, and it is the greatest.
+    not_null = not_(isnull(col(order_col)))
+    read_filter = not_null if pred is None else and_(pred, not_null)
     top: List = []
     boundary = initial_boundary
+
+    def at_least(a, b) -> bool:
+        """Is ``a`` at least as good as ``b`` in the query's order?"""
+        a, b = spark_order(a), spark_order(b)
+        return a >= b if desc else a <= b
 
     for p in ordered:
         heap_covers = bool(
             k > 0
             and len(top) == k
             and boundary is not None
-            and ((top[-1] >= boundary) if desc else (top[-1] <= boundary))
+            and at_least(top[-1], boundary)
         )
         if boundary is not None and _partition_prunable(
             p.stats, order_col, boundary, desc, heap_covers
         ):
             result.pruned.append(p)
             continue
-        vals = reader(p, [order_col], pred)[order_col].dropna().tolist()
+        vals = reader(p, [order_col], read_filter)[order_col].tolist()
         result.scanned.append(p)
         if vals:
-            top = best(k, top + vals)
+            top = best(k, top + vals, key=spark_order)
         if len(top) == k and k > 0:
-            heap_edge = top[-1]
-            if boundary is None or (
-                heap_edge > boundary if desc else heap_edge < boundary
-            ):
-                boundary = heap_edge
+            if boundary is None or not at_least(boundary, top[-1]):
+                boundary = top[-1]
         result.boundary_history.append(boundary)
 
     result.final_boundary = boundary

@@ -4,8 +4,9 @@ The paper's runtime techniques (top-k boundary pruning, join pruning)
 exchange information sideways between operators mid-query — not
 expressible inside Catalyst from Python (see DESIGN.md).  So
 ``repro.core.flow.run_pruning_flow`` makes every pruning decision, and
-:func:`execute` plans the query in Spark over the scan sets it chose
-(``LakeTable.scan``: the table's cached relation, filtered by file name).
+:func:`execute` plans the query in Spark over the scan sets it chose, as
+one SQL statement over ``LakeTable.scan`` relations (the table's cached
+relation, filtered by file name).
 ``filtered_scan``, ``topk_execute`` and ``pruned_hash_join`` are thin
 entry points for one query shape each: build a ``QuerySpec``, run the
 flow, execute it, and return the DataFrame with the stage result the
@@ -16,10 +17,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import query as q
-from repro.core.expr import Expr, to_spark
+from repro.core.expr import Expr, col, to_spark
 from repro.core.filter_pruning import PruneResult
 from repro.core.flow import FlowResult, run_pruning_flow
 from repro.core.topk_pruning import TopKScanResult
@@ -29,30 +29,39 @@ from repro.lake import LakeTable
 def execute(
     spark: SparkSession, tables: Dict[str, LakeTable], res: FlowResult
 ) -> DataFrame:
-    """Plan ``res.spec`` over the flow's final scan sets.
+    """Plan ``res.spec`` over the flow's final scan sets as one Spark SQL
+    statement, analysed once by one ``spark.sql`` call::
 
-    Residual predicate on the main scan, inner equi-join with the
-    filtered build side, ``ORDER BY … NULLS LAST`` for a top-k, then
-    ``LIMIT k``.  GROUP BY top-k queries are not planned here.
+        SELECT * FROM (<main> WHERE pred) m
+          [JOIN (<build> WHERE build_pred) b ON m.probe_key = b.build_key]
+          [ORDER BY m.order_col DESC|ASC NULLS LAST] [LIMIT k]
+
+    ``<main>`` and ``<build>`` are ``LakeTable.scan`` relations.  The
+    aliases keep the two sides of a self-join apart.  GROUP BY top-k
+    queries are not planned here.
     """
     spec = res.spec
     if spec.qtype in (q.TOPK_GROUP_KEY, q.TOPK_GROUP_AGG):
         raise ValueError(f"execute cannot plan {spec.qtype} queries")
-    df = tables[spec.table].scan(spark, res.final_main_scan)
-    if spec.pred is not None:
-        df = df.filter(to_spark(spec.pred))
+    main = tables[spec.table].scan(spark, res.final_main_scan)
+    sql = f"SELECT * FROM {_where(main, spec.pred)} m"
     if spec.join is not None:
         j = spec.join
         build = tables[j.build_table].scan(spark, res.final_build_scan)
-        if j.build_pred is not None:
-            build = build.filter(to_spark(j.build_pred))
-        df = df.join(build, on=df[j.probe_key] == build[j.build_key], how="inner")
+        sql += (
+            f" JOIN {_where(build, j.build_pred)} b"
+            f" ON m.{to_spark(col(j.probe_key))} = b.{to_spark(col(j.build_key))}"
+        )
     if spec.qtype == q.TOPK:
-        o = F.col(spec.order_col)
-        df = df.orderBy(o.desc_nulls_last() if spec.desc else o.asc_nulls_last())
+        order = "DESC" if spec.desc else "ASC"
+        sql += f" ORDER BY m.{to_spark(col(spec.order_col))} {order} NULLS LAST"
     if spec.k is not None:
-        df = df.limit(spec.k)
-    return df
+        sql += f" LIMIT {int(spec.k)}"
+    return spark.sql(sql)
+
+
+def _where(relation: str, pred: Optional[Expr]) -> str:
+    return relation if pred is None else f"(SELECT * FROM {relation} WHERE {to_spark(pred)})"
 
 
 def filtered_scan(

@@ -18,23 +18,25 @@ Each slice becomes one ``data/part-NNNNN.parquet`` file, dictionary-
 encoded where Spark's own writer would be (see :func:`_dictionary_pays`),
 and its per-column min/max/null-count statistics come from the in-memory
 slice with Spark's aggregate semantics (see :func:`_col_stats`).  Spark
-reads them through one cached relation per table (:meth:`LakeTable.scan`).
+reads them through temp views over one cached relation per table
+(:meth:`LakeTable.scan`).
 """
 from __future__ import annotations
 
 import json
 import math
 import shutil
+import uuid
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 from pyspark.sql import types as T
 from pyspark.sql.pandas.types import from_arrow_schema
 
@@ -146,7 +148,7 @@ class LakeTable:
     def __init__(self, path: str | Path, manifest: Manifest):
         self.path = Path(path)
         self.manifest = manifest
-        self._relation: Optional[DataFrame] = None  # see scan
+        self._views: Optional[Tuple[SparkSession, str, str]] = None  # see scan
 
     # -- construction ------------------------------------------------------
 
@@ -210,27 +212,50 @@ class LakeTable:
     def schema(self) -> T.StructType:
         return T.StructType.fromJson(json.loads(self.manifest.schema_json))
 
-    def scan(
-        self, spark: SparkSession, metas: Iterable[PartitionMeta]
-    ) -> DataFrame:
-        """Spark DataFrame over exactly the scan set ``metas`` (a subset of
-        this table's partitions): the table's one relation over ``data/``
-        per session, filtered by file name as Spark lists the files.  New
-        column ids on every call keep a self-join of two scans unambiguous."""
-        if self._relation is None or self._relation.sparkSession is not spark:
-            self._relation = spark.read.schema(self.schema).parquet(str(self.path / "data"))
-        df = self._relation
-        names = [Path(m.path).name for m in metas]
-        if len(names) < self.manifest.n_partitions:  # over all files the filter costs 2x
-            # SQL text: Column.isin makes two py4j calls per name.  The
-            # writer's part-NNNNN.parquet names need no quoting.
-            listed = ", ".join(f"'{n}'" for n in names)
-            df = df.filter(f"_metadata.file_name IN ({listed})" if names else "false")
-        return df.toDF(*df.columns)
+    @cached_property
+    def _file_column(self) -> str:
+        """Name under which the file-name view shows ``_metadata.file_name``;
+        no data column has it (Spark resolves names case-insensitively)."""
+        taken = {n.lower() for n in self.schema.names}
+        name = "_file_name"
+        while name in taken:
+            name = "_" + name
+        return name
 
-    def full(self, spark: SparkSession) -> DataFrame:
-        """Unpruned scan over every micro-partition."""
-        return self.scan(spark, self.manifest.partitions)
+    def scan(self, spark: SparkSession, metas: Iterable[PartitionMeta]) -> str:
+        """Spark SQL relation over exactly the scan set ``metas`` (a subset
+        of this table's partitions), as ``(SELECT * EXCEPT (<file>) FROM
+        <view> WHERE <file> IN (…))``.
+
+        The views are registered once per instance and session over the
+        table's one relation on ``data/``, so a query lists no files.  A
+        temp view hides ``_metadata``, so one view selects
+        ``_metadata.file_name`` as :attr:`_file_column`; Spark applies the
+        ``IN`` to the listed files when it plans the scan, and the scan
+        opens exactly the scan set.  A scan set holding every partition
+        is the plain view itself, with no filter: over all files the
+        filter costs 2× native, and any scan of a view that selects
+        ``_metadata`` reads every metadata field and a row index, even
+        when the file name is dropped.  An empty scan set gets
+        ``WHERE false``, planned as a scan of no file.  The writer's
+        ``part-NNNNN.parquet`` names need no quoting.
+        """
+        if self._views is None or self._views[0] is not spark:
+            relation = spark.read.schema(self.schema).parquet(str(self.path / "data"))
+            plain, named = (f"lake_{uuid.uuid4().hex}" for _ in range(2))
+            relation.createTempView(plain)
+            relation.selectExpr(
+                "*", f"_metadata.file_name AS {self._file_column}"
+            ).createTempView(named)
+            self._views = (spark, plain, named)
+        _, plain, named = self._views
+        names = [Path(m.path).name for m in metas]
+        if len(names) == self.manifest.n_partitions:
+            return plain
+        file = self._file_column
+        listed = ", ".join(f"'{n}'" for n in names)
+        where = f"{file} IN ({listed})" if names else "false"
+        return f"(SELECT * EXCEPT ({file}) FROM {named} WHERE {where})"
 
     def read_partition_pandas(
         self,
@@ -247,12 +272,17 @@ class LakeTable:
         writer leaves NaN out of a file's min/max, so a filter pushed
         into the read may skip a row group whose NaN rows are TRUE in
         Spark's order.  Dates arrive as ``datetime.date``, the type of
-        the manifest stats.
+        the manifest stats.  The file is read on the calling thread
+        through ``ParquetFile``: for one small file that is ≈10× faster
+        than ``pq.read_table``, which plans a dataset scan.
         """
-        if filter is None:
-            return pq.read_table(meta.path, columns=columns).to_pandas()
-        read = None if columns is None else [
-            *columns, *sorted(expr_columns(filter) - set(columns))
-        ]
-        rows = pq.read_table(meta.path, columns=read).filter(to_arrow(filter))
-        return (rows if columns is None else rows.select(columns)).to_pandas()
+        read = columns
+        if filter is not None and columns is not None:
+            read = [*columns, *sorted(expr_columns(filter) - set(columns))]
+        with pq.ParquetFile(meta.path) as f:
+            rows = f.read(columns=read, use_threads=False)
+        if filter is not None:
+            rows = rows.filter(to_arrow(filter))
+            if columns is not None:
+                rows = rows.select(columns)
+        return rows.to_pandas()

@@ -60,8 +60,3 @@ def classify(sql: str) -> str:
     if set(order_cols) <= set(groups):
         return TOPK_GROUP_KEY
     return TOPK_GROUP_AGG
-
-
-def is_topk(category: str) -> bool:
-    return category in (TOPK_PLAIN, TOPK_GROUP_KEY, TOPK_GROUP_AGG)
-

@@ -2,6 +2,8 @@
 
 ``ps``/``meta`` build partition metadata by hand for metadata-only
 tests; ``lake_pandas`` reads a lake table whole for the DuckDB oracles;
+``scan_df`` turns a ``LakeTable.scan`` relation into a DataFrame, and
+``spark_column`` is the PySpark Column reference for ``to_spark``;
 ``partition_pandas`` micro-partitions a pandas frame purely in
 Python (stats computed with pandas) so pruning soundness can be
 property-tested against brute-force row evaluation without Spark.
@@ -12,13 +14,15 @@ frame converted to Arrow (pandas NaN becomes NULL, as DuckDB reads it);
 from __future__ import annotations
 
 import datetime as dt
-from typing import Dict, List, Optional, Sequence, Tuple
+import operator
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from repro.core import expr as E
 from repro.core.expr import Expr, to_arrow
 from repro.core.filter_pruning import (
     FULLY_MATCHING,
@@ -120,6 +124,74 @@ def lake_pandas(table: LakeTable) -> pd.DataFrame:
     if not frames:
         return pd.DataFrame(columns=[f.name for f in table.schema.fields])
     return pd.concat(frames, ignore_index=True)
+
+
+def scan_df(spark, table: LakeTable, metas: Optional[Iterable[PartitionMeta]] = None):
+    """``table.scan``'s SQL relation as a DataFrame; ``metas=None`` scans
+    every partition."""
+    if metas is None:
+        metas = table.manifest.partitions
+    return spark.sql(f"SELECT * FROM {table.scan(spark, metas)}")
+
+
+_COLUMN_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "=": operator.eq, "!=": operator.ne,
+}
+
+
+def spark_column(e: Expr):
+    """PySpark ``Column`` for ``e``: the reference ``to_spark``'s SQL text
+    must agree with row for row."""
+    from pyspark.sql import functions as F
+
+    if isinstance(e, E.Col):
+        return F.col(e.name)
+    if isinstance(e, E.Lit):
+        return F.lit(e.value)
+    if isinstance(e, (E.Arith, E.Cmp)):
+        return _COLUMN_OPS[e.op](spark_column(e.left), spark_column(e.right))
+    if isinstance(e, (E.And, E.Or)):
+        combine = operator.and_ if isinstance(e, E.And) else operator.or_
+        out = spark_column(e.args[0])
+        for a in e.args[1:]:
+            out = combine(out, spark_column(a))
+        return out
+    if isinstance(e, E.Not):
+        return ~spark_column(e.arg)
+    if isinstance(e, E.If):
+        return F.when(spark_column(e.cond), spark_column(e.then)).otherwise(
+            spark_column(e.otherwise)
+        )
+    if isinstance(e, E.Like):
+        return spark_column(e.arg).like(e.pattern)
+    if isinstance(e, E.StartsWith):
+        return spark_column(e.arg).startswith(e.prefix)
+    if isinstance(e, E.InList):
+        return spark_column(e.arg).isin(list(e.values))
+    if isinstance(e, E.IsNull):
+        return spark_column(e.arg).isNull()
+    raise TypeError(f"cannot compile {e!r}")
+
+
+def fully_matching_by_inverted_pass(
+    partitions: Sequence[PartitionMeta], pred: Expr
+) -> List[PartitionMeta]:
+    """§4.2's second pass: a partition is fully matching when the inverted
+    predicate can match no row and the predicate's columns hold no NULL
+    (a NULL row fails both the predicate and its inversion)."""
+    inv = E.invert(pred)
+    cols = E.columns(pred)
+    out = []
+    for p in partitions:
+        if p.stats.row_count == 0 or any(
+            (cs := p.stats.col(c)) is None or cs.has_nulls() for c in cols
+        ):
+            continue
+        if not E.can_match(E.eval3(inv, p.stats)):
+            out.append(p)
+    return out
 
 
 def duckdb_table(tbl: pa.Table) -> duckdb.DuckDBPyConnection:

@@ -8,7 +8,8 @@ the ``spark_exec`` workload runs.  The benchmark's ``lake.read`` layer
 counts calls of ``LakeTable.read_partition_pandas``, so the pruning
 flow's worker reads must all go through that one method, and
 ``spark.paths_per_query`` reads the scan set from ``LakeTable.scan``'s
-arguments.
+arguments.  ``engine.decide_ms`` and ``spark.list_plan_ms`` assume that
+``exec_ops.execute`` plans each query with one ``spark.sql`` call.
 """
 import ast
 import importlib
@@ -20,6 +21,7 @@ import pytest
 
 import repro.core
 from perfbench import tracing
+from repro.core import expr as E
 from repro.core import query as q
 from repro.core.expr import col
 from repro.core.flow import run_pruning_flow
@@ -148,3 +150,65 @@ def test_core_imports_neither_pandas_nor_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] not in ("pandas", "numpy"), path.name
+
+
+class FakeSession:
+    """Records the statements ``execute`` hands to ``spark.sql``."""
+
+    def __init__(self):
+        self.statements = []
+
+    def sql(self, text):
+        self.statements.append(text)
+        return text
+
+
+FLOW_SPECS = {
+    "filter": q.QuerySpec(qtype=q.SELECT, table="main", pred=col("id") < 90),
+    "top-k": q.QuerySpec(
+        qtype=q.TOPK, table="main", pred=col("g") >= 1, k=5, order_col="id"
+    ),
+    "join": q.QuerySpec(
+        qtype=q.SELECT, table="main", pred=col("g").eq(1),
+        join=q.JoinSpec("build", "id", "id", col("sev") >= 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FLOW_SPECS)
+def test_execute_is_one_sql_call_over_the_final_scan_sets(tiny_lake, monkeypatch, case):
+    """One ``spark.sql`` call per query, and one ``LakeTable.scan`` per
+    scanned table with the flow's final scan set, which the benchmark's
+    ``_paths`` reader counts."""
+    scans = []
+
+    def scan(self, spark, metas):
+        scans.append((self.manifest.name, metas))
+        return f"({self.manifest.name})"
+
+    monkeypatch.setattr(LakeTable, "scan", scan)
+    spec = FLOW_SPECS[case]
+    res = run_pruning_flow(spec, tiny_lake)
+    spark = FakeSession()
+    out = exec_ops.execute(spark, tiny_lake, res)
+    assert spark.statements == [out]
+    want = [("main", res.final_main_scan)]
+    if spec.join is not None:
+        want.append(("build", res.final_build_scan))
+    assert scans == want
+    for name, metas in scans:
+        assert tracing._paths(("t", spark, metas), {}, None) == {"paths": len(metas)}
+    assert 0 < len(res.final_main_scan) < 8
+
+
+def test_to_spark_returns_text_for_every_node():
+    s = col("s")
+    examples = [
+        col("x"), E.lit(1.5), col("x") + 1, col("x") > 2,
+        E.and_(col("x") > 1, col("y") < 2), E.or_(col("x") > 1, col("y") < 2),
+        E.not_(col("x") > 1), E.if_(col("x") > 1, 1, 2), E.like(s, "a%"),
+        E.startswith(s, "a"), E.isin(s, ["a", "b"]), E.isnull(s),
+    ]
+    assert {type(e) for e in examples} == set(E.Expr.__subclasses__())
+    for e in examples:
+        assert isinstance(E.to_spark(e), str)

@@ -69,14 +69,6 @@ class TestTopKDetection:
         assert C.classify(sql) == C.TOPK_GROUP_KEY
 
 
-class TestBuckets:
-    def test_is_topk(self):
-        assert C.is_topk(C.TOPK_PLAIN)
-        assert C.is_topk(C.TOPK_GROUP_KEY)
-        assert C.is_topk(C.TOPK_GROUP_AGG)
-        assert not C.is_topk(C.LIMIT_PRED)
-
-
 class TestAgainstGeneratedSQL:
     """Classifier round-trips the generator's own SQL rendering."""
 

@@ -20,6 +20,8 @@ from repro.engine.datasource import (
     filters_to_pred,
 )
 
+from .helpers import scan_df
+
 
 class TestFilterTranslation:
     def test_equal_to(self):
@@ -118,7 +120,7 @@ class TestInSpark:
             .filter("ts >= DATE '2025-01-15'")
         )
         expected = (
-            events.full(registered).filter("ts >= DATE '2025-01-15'").count()
+            scan_df(registered, events).filter("ts >= DATE '2025-01-15'").count()
         )
         assert df.count() == expected
 
@@ -131,7 +133,7 @@ class TestInSpark:
             .load()
             .filter(cond)
         )
-        assert df.count() == events.full(registered).filter(cond).count()
+        assert df.count() == scan_df(registered, events).filter(cond).count()
 
     def test_schema_from_manifest(self, registered, prod_lake):
         events = prod_lake["events"]

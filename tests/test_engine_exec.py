@@ -18,7 +18,7 @@ from repro.lake import LakeTable
 from repro.oracle import assert_equivalent
 from repro.workload.tables import build_events
 
-from .helpers import lake_pandas
+from .helpers import lake_pandas, scan_df
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ class TestFilteredScan:
     def test_no_predicate(self, spark, events):
         df, pr = filtered_scan(spark, events, None)
         assert df.count() == events.manifest.total_rows
-        assert pr.pruning_ratio == 0.0
+        assert pr.pruned == []
 
 
 class TestTopKExecute:
@@ -123,7 +123,7 @@ class TestTopKExecute:
     def test_pruned_equals_unpruned(self, spark, events):
         a, _ = topk_execute(spark, events, order_col="amount", k=30)
         b = (
-            events.full(spark)
+            scan_df(spark, events)
             .orderBy(F.col("amount").desc_nulls_last()).limit(30)
         )
         va = sorted(r["amount"] for r in a.collect())

@@ -3,6 +3,7 @@ the cases where Arrow's own kernels differ from SQL or are easy to get
 wrong.  The hypothesis property in ``test_expr_property`` checks the
 rest against DuckDB."""
 import math
+from decimal import Decimal
 
 import pandas as pd
 import pyarrow as pa
@@ -73,3 +74,21 @@ def test_nan_is_the_greatest_double(pred, want):
     assert t.filter(to_arrow(pred))["index"].to_pylist() == want
     sql = f"SELECT index FROM t WHERE {to_sql(pred)} ORDER BY index"
     assert [r[0] for r in duckdb_table(NAN).execute(sql).fetchall()] == want
+
+
+def test_decimal_literal_is_exact_sql():
+    """A decimal literal renders as an exact DECIMAL, not as Python's
+    ``Decimal('1.50')``; one with no fraction stays a DECIMAL, not an
+    INT."""
+    t = pa.table({"d": pa.array(
+        [Decimal("1.49"), Decimal("1.50"), Decimal("1.51")], pa.decimal128(5, 2)
+    )})
+    for pred, want in [
+        (col("d") > Decimal("1.50"), [2]),
+        (col("d").eq(Decimal("1.5")), [1]),
+        ((col("d") * Decimal("2")) <= Decimal("2.98"), [0]),
+    ]:
+        sql = f"SELECT index FROM t WHERE {to_sql(pred)} ORDER BY index"
+        assert [r[0] for r in duckdb_table(t).execute(sql).fetchall()] == want, sql
+    assert to_sql(col("d") > Decimal("1.50")) == "(d > CAST('1.50' AS DECIMAL(3, 2)))"
+    assert to_sql(lit(Decimal("2"))) == "CAST('2' AS DECIMAL(1, 0))"

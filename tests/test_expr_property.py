@@ -40,7 +40,7 @@ from repro.core.filter_pruning import (
     NOT_MATCHING,
     classify_partition,
 )
-from repro.core.topk_pruning import topk_scan
+from repro.core.topk_pruning import init_boundary, spark_order, topk_scan
 from repro.lake import LakeTable
 from .helpers import arrow_filter, brute_classify, duckdb_table, partition_pandas
 
@@ -156,16 +156,19 @@ def test_arrow_filter_matches_duckdb(tbl, pred):
 @settings(max_examples=40, deadline=None)
 @given(tbl=nan_tables(), pred=preds(), n_parts=st.integers(1, 4),
        cluster=st.sampled_from([None, "a", "b", "s"]),
-       k=st.sampled_from([1, 3, 10]), desc=st.booleans())
-def test_nan_lake_soundness_and_topk(tbl, pred, n_parts, cluster, k, desc):
+       k=st.sampled_from([1, 3, 10]), desc=st.booleans(),
+       order=st.sampled_from(["a", "b"]))
+def test_nan_lake_soundness_and_topk(tbl, pred, n_parts, cluster, k, desc, order):
     """On an Arrow-written lake with NaN: no false negative, no false
-    "fully", and the top-k loop's values are DuckDB's top-k values."""
+    "fully", and the top-k loop, started from the §5.4 boundary of the
+    fully-matching partitions, returns DuckDB's top-k non-NULL values
+    (ordered by ``a`` they include NaN, the greatest)."""
     with tempfile.TemporaryDirectory() as d:
         lake = LakeTable.write(
             tbl, d, n_partitions=n_parts,
             cluster_by=None if cluster is None else [cluster],
         )
-        con = duckdb.connect()
+        con, fully = duckdb.connect(), []
         try:
             for m in lake.manifest.partitions:
                 # Evaluated in the select list, so nothing is pushed into
@@ -179,21 +182,24 @@ def test_nan_lake_soundness_and_topk(tbl, pred, n_parts, cluster, k, desc):
                     assert hits == 0, f"false negative ({to_sql(pred)})"
                 if c == FULLY_MATCHING:
                     assert hits == rows, f"false 'fully' ({to_sql(pred)})"
+                    fully.append(m)
         finally:
             con.close()
         res = topk_scan(
-            lake.manifest.partitions, lake.read_partition_pandas, "b", k,
+            lake.manifest.partitions, lake.read_partition_pandas, order, k,
             pred=pred, desc=desc,
+            initial_boundary=init_boundary(fully, order, k, desc=desc),
         )
     con = duckdb_table(tbl)
     try:
         truth = [r[0] for r in con.execute(
-            f"SELECT b FROM t WHERE {to_sql(pred)} "
-            f"ORDER BY b {'DESC' if desc else 'ASC'} LIMIT {k}"
+            f"SELECT {order} FROM t WHERE {to_sql(pred)} AND {order} IS NOT NULL "
+            f"ORDER BY {order} {'DESC' if desc else 'ASC'} LIMIT {k}"
         ).fetchall()]
     finally:
         con.close()
-    assert sorted(res.top_values) == sorted(truth), to_sql(pred)
+    got = sorted(res.top_values, key=spark_order)
+    assert list(map(spark_order, got)) == sorted(map(spark_order, truth)), to_sql(pred)
 
 
 @settings(max_examples=80, deadline=None)

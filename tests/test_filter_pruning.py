@@ -58,7 +58,7 @@ class TestFig5:
         assert [p.pid for p in r.pruned] == [1]
         assert [p.pid for p in r.retained] == [2, 3, 4]
         assert [p.pid for p in r.fully_matching] == [3]
-        assert r.pruning_ratio == 0.25
+        assert r.n_total == 4
 
 
 class TestPruneScanSet:
@@ -67,7 +67,7 @@ class TestPruneScanSet:
         r = prune_scan_set(parts, None)
         assert len(r.retained) == 5
         assert len(r.fully_matching) == 5
-        assert r.pruning_ratio == 0.0
+        assert r.pruned == []
 
     def test_range_pruning(self):
         parts = [meta(i, 10, x=(i * 10, i * 10 + 9)) for i in range(10)]
@@ -75,7 +75,7 @@ class TestPruneScanSet:
         assert [p.pid for p in r.retained] == [7, 8, 9]
         # Partitions 8 and 9 lie entirely >= 75.
         assert [p.pid for p in r.fully_matching] == [8, 9]
-        assert r.pruning_ratio == 0.7
+        assert len(r.pruned) == 7
 
     def test_empty_partitions_always_pruned(self):
         parts = [meta(0, 0, x=(None, None, 0)), meta(1, 5, x=(0, 9))]
@@ -84,20 +84,20 @@ class TestPruneScanSet:
 
     def test_empty_scan_set(self):
         r = prune_scan_set([], col("x") > 1)
-        assert r.n_total == 0 and r.pruning_ratio == 0.0
+        assert r.n_total == 0 and r.pruned == r.retained == []
 
     def test_whole_scan_set_eliminated(self):
         # §3.3: filter pruning can remove the whole scan set (sub-tree
         # elimination opportunity).
         parts = [meta(i, 10, x=(0, 50)) for i in range(4)]
         r = prune_scan_set(parts, col("x") > 99)
-        assert not r.retained and r.pruning_ratio == 1.0
+        assert not r.retained and len(r.pruned) == 4
 
     def test_wide_minmax_prunes_nothing(self):
         # §3.3's second failure mode: poorly distributed data.
         parts = [meta(i, 10, x=(0, 1000)) for i in range(4)]
         r = prune_scan_set(parts, col("x") > 500)
-        assert len(r.retained) == 4 and r.pruning_ratio == 0.0
+        assert len(r.retained) == 4 and r.pruned == []
 
     def test_date_clustered_pruning(self):
         d0 = dt.date(2024, 1, 1)
@@ -143,7 +143,7 @@ class TestSparkNaNOrder:
         # Spark's native plan over every file: the TRUE rows all sit in
         # files the metadata kept.
         per_file = dict(
-            t.full(spark).filter(to_spark(pred))
+            spark.read.parquet(str(t.path / "data")).filter(to_spark(pred))
             .groupBy(F.col("_metadata.file_name")).count().collect()
         )
         assert per_file == {"part-00002.parquet": 3}

@@ -12,6 +12,8 @@ from repro.core.topk_pruning import PlanOp
 from repro.engine.exec_ops import execute
 from repro.lake import LakeTable
 
+from .helpers import scan_df
+
 
 @pytest.fixture(scope="module")
 def tables(prod_lake):
@@ -115,7 +117,7 @@ class TestLimitStage:
         pred = between(col("ts"), dt.date(2024, 3, 1), dt.date(2024, 6, 1))
         spec = q.QuerySpec(qtype=q.LIMIT, table="events", pred=pred, k=10)
         r = run_pruning_flow(spec, tables)
-        df = tables["events"].scan(spark, r.final_main_scan)
+        df = scan_df(spark, tables["events"], r.final_main_scan)
         assert df.filter(to_spark(pred)).count() >= 10
 
 
@@ -200,7 +202,7 @@ class TestCombined:
         spec = q.QuerySpec(qtype=q.SELECT, table="events", pred=pred)
         r = run_pruning_flow(spec, tables)
         pruned = execute(spark, tables, r).count()
-        full = tables["events"].full(spark).filter(to_spark(pred)).count()
+        full = scan_df(spark, tables["events"]).filter(to_spark(pred)).count()
         assert pruned == full
 
 
@@ -233,7 +235,7 @@ class TestSparkNaNOrder:
         )
         r = run_pruning_flow(spec, nan_tables)
         got = [row.v for row in execute(spark, nan_tables, r).collect()]
-        native = nan_tables["nt"].full(spark).filter(to_spark(pred))
+        native = scan_df(spark, nan_tables["nt"]).filter(to_spark(pred))
         assert got == [native.agg({"v": "max"}).first()[0]] == [60]
 
     @pytest.mark.parametrize("build_pred, keys", [
@@ -254,10 +256,30 @@ class TestSparkNaNOrder:
         )
         r = run_pruning_flow(spec, nan_tables)
         got = sorted(row.key for row in execute(spark, nan_tables, r).collect())
-        probe = nan_tables["p"].full(spark)
-        build = nan_tables["nt"].full(spark).filter(to_spark(build_pred))
+        probe = scan_df(spark, nan_tables["p"])
+        build = scan_df(spark, nan_tables["nt"]).filter(to_spark(build_pred))
         native = sorted(
             row.key for row in probe.join(build, probe.key == build.v).collect()
         )
         assert got == native == keys
         assert len(r.final_main_scan) == 1
+
+
+@pytest.mark.parametrize("desc, pruned, top", [
+    (True, [3], ["nan", "19.0", "16.0"]),
+    (False, [1], ["13.0", "16.0", "19.0"]),
+])
+def test_topk_boundary_in_spark_nan_order(tmp_path, desc, pruned, top):
+    """``v`` = 16, NaN, 19, 13, one row per partition.  Spark orders NaN
+    above every double, so the top 3 DESC are NaN, 19, 16, and the §5.4
+    boundary from the four fully-matching partitions is 16: only the
+    partition of 13 may be pruned (ASC: only the partition of NaN)."""
+    t = LakeTable.write(
+        pa.table({"k": pa.array([1, 2, 3, 4], pa.int64()), "v": [16.0, math.nan, 19.0, 13.0]}),
+        tmp_path / "t", n_partitions=4, cluster_by=["k"],
+    )
+    spec = q.QuerySpec(qtype=q.TOPK, table="t", k=3, order_col="v", desc=desc)
+    tr = run_pruning_flow(spec, {"t": t}).topk_result
+    assert tr.initial_boundary == (16.0 if desc else 19.0)
+    assert [p.pid for p in tr.pruned] == pruned
+    assert [repr(v) for v in tr.top_values] == top

@@ -20,7 +20,7 @@ from repro.lake import LakeTable, Manifest
 from repro.lake.manifest import PartitionMeta
 from repro.core.stats import PartitionStats
 
-from .helpers import lake_pandas
+from .helpers import lake_pandas, scan_df
 
 
 @pytest.fixture(scope="module")
@@ -294,15 +294,15 @@ class TestManifestPersistence:
 
 class TestReader:
     def test_full_scan_row_count(self, spark, small_table):
-        assert small_table.full(spark).count() == 1000
+        assert scan_df(spark, small_table).count() == 1000
 
     def test_scan_subset(self, spark, small_table):
         parts = small_table.manifest.partitions[:2]
         n = sum(p.row_count for p in parts)
-        assert small_table.scan(spark, parts).count() == n
+        assert scan_df(spark, small_table, parts).count() == n
 
     def test_empty_scan_set(self, spark, small_table):
-        df = small_table.scan(spark, [])
+        df = scan_df(spark, small_table, [])
         assert df.count() == 0
         assert set(df.columns) == {"id", "val", "name", "d"}
         # the empty file-name filter plans no file scan at all
@@ -310,27 +310,30 @@ class TestReader:
 
     def test_relation_cached_per_instance_and_session(self, spark, small_table):
         assert small_table.schema is small_table.schema
-        small_table.full(spark)
-        relation = small_table._relation
-        small_table.scan(spark, small_table.manifest.partitions[:1])
-        assert small_table._relation is relation
+        first = small_table.manifest.partitions[:1]
+        scan_df(spark, small_table)
+        views = small_table._views
+        scan_df(spark, small_table, first)
+        assert small_table._views is views
         reloaded = LakeTable.load(small_table.path)
-        reloaded.full(spark)
-        assert reloaded._relation is not relation
+        scan_df(spark, reloaded)
+        assert set(reloaded._views[1:]).isdisjoint(views[1:])
         other = spark.newSession()
-        df = small_table.scan(other, small_table.manifest.partitions[:1])
+        df = scan_df(other, small_table, first)
         assert df.sparkSession is other
-        assert df.count() == small_table.manifest.partitions[0].row_count
+        assert df.count() == first[0].row_count
+        # the other session's views are its own
+        assert not set(small_table._views[1:]) & {t.name for t in spark.catalog.listTables()}
 
     def test_rewrite_returns_table_that_scans_new_files(self, spark, tmp_path):
         def ids(lo, hi):
             return pa.table({"a": pa.array(range(lo, hi), pa.int64())})
 
         old = LakeTable.write(ids(0, 100), tmp_path / "t", n_partitions=4, cluster_by=["a"])
-        assert old.full(spark).count() == 100
+        assert scan_df(spark, old).count() == 100
         new = LakeTable.write(ids(1000, 1030), tmp_path / "t", n_partitions=2, cluster_by=["a"])
-        assert new.full(spark).count() == 30
-        last = new.scan(spark, new.manifest.partitions[1:]).collect()
+        assert scan_df(spark, new).count() == 30
+        last = scan_df(spark, new, new.manifest.partitions[1:]).collect()
         assert sorted(r.a for r in last) == list(range(1015, 1030))
 
     def test_read_partition_pandas(self, small_table):
@@ -345,7 +348,7 @@ class TestReader:
         pred = and_(col("val") > 150.0, like(col("name"), "row03%"))
         got = small_table.read_partition_pandas(p, ["id", "d"], pred)
         want = (
-            small_table.scan(spark, [p]).filter(to_spark(pred))
+            scan_df(spark, small_table, [p]).filter(to_spark(pred))
             .select("id", "d").toPandas()
         )
         assert list(got.columns) == ["id", "d"]
@@ -383,7 +386,7 @@ class TestReader:
 
     def test_scan_matches_pandas_read(self, spark, small_table):
         p = small_table.manifest.partitions[3]
-        via_spark = small_table.scan(spark, [p]).toPandas()
+        via_spark = scan_df(spark, small_table, [p]).toPandas()
         via_arrow = small_table.read_partition_pandas(p)
         assert sorted(via_spark["id"]) == sorted(via_arrow["id"])
 

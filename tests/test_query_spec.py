@@ -96,7 +96,3 @@ class TestFlags:
             qtype=q.TOPK_GROUP_AGG, table="t", k=1
         ).is_topk
         assert not q.QuerySpec(qtype=q.LIMIT, table="t", k=1).is_topk
-
-    def test_has_limit(self):
-        assert q.QuerySpec(qtype=q.LIMIT, table="t", k=0).has_limit
-        assert not q.QuerySpec(qtype=q.SELECT, table="t").has_limit

@@ -9,7 +9,7 @@ from repro.core.flow import run_pruning_flow
 from repro.oracle import assert_equivalent
 from repro.workload.tpch import tpch_queries
 
-from .helpers import lake_pandas
+from .helpers import lake_pandas, scan_df
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ class TestCorrectness:
         r = run_pruning_flow(spec, tpch_lake)
         li = tpch_lake["lineitem"]
         df = (
-            li.scan(spark, r.final_main_scan)
+            scan_df(spark, li, r.final_main_scan)
             .filter(to_spark(spec.pred))
             .selectExpr(
                 "sum(l_extendedprice * l_discount) AS revenue"
@@ -118,7 +118,7 @@ class TestCorrectness:
         r = run_pruning_flow(spec, tpch_lake)
         li = tpch_lake["lineitem"]
         df = (
-            li.scan(spark, r.final_main_scan)
+            scan_df(spark, li, r.final_main_scan)
             .filter(to_spark(spec.pred))
             .selectExpr("count(*) AS n", "sum(l_extendedprice) AS s")
         )
@@ -134,8 +134,8 @@ class TestCorrectness:
         spec = queries["q19"]
         r = run_pruning_flow(spec, tpch_lake)
         li, part = tpch_lake["lineitem"], tpch_lake["part"]
-        probe = li.scan(spark, r.final_main_scan).filter(to_spark(spec.pred))
-        build = part.full(spark).filter(to_spark(spec.join.build_pred))
+        probe = scan_df(spark, li, r.final_main_scan).filter(to_spark(spec.pred))
+        build = scan_df(spark, part).filter(to_spark(spec.join.build_pred))
         df = probe.join(
             build, probe["l_partkey"] == build["p_partkey"]
         ).selectExpr("count(*) AS n")
